@@ -12,6 +12,7 @@
 
 #include "core/pipeline.hpp"
 #include "covert/multi.hpp"
+#include "fleet/shard.hpp"
 #include "fleet/survey.hpp"
 #include "obs/obs.hpp"
 #include "util/cli.hpp"
@@ -76,17 +77,24 @@ inline util::FlagSpec& add_fleet_flags(util::FlagSpec& spec) {
 
 /// Builds SurveyOptions from the standard fleet flags:
 ///   --jobs N        worker threads (1 = serial reference)
-///   --checkpoint D  persist completed instances under directory D
+///   --checkpoint D  persist completed instances as the segment
+///                   D[/subdir]/shard-0-of-1 (a bench surveying several
+///                   models passes the model name as `subdir`)
 ///   --resume        skip instances already in the checkpoint
 ///   --progress      emit instances/sec + ETA lines on stderr
 inline fleet::SurveyOptions survey_options_from_flags(const util::CliFlags& flags,
                                                       int instances,
-                                                      std::uint64_t base_seed) {
+                                                      std::uint64_t base_seed,
+                                                      const std::string& subdir = "") {
   fleet::SurveyOptions options;
   options.instances = instances;
   options.jobs = static_cast<int>(flags.get_int("jobs", 1));
   options.base_seed = base_seed;
-  options.checkpoint_dir = flags.get("checkpoint", "");
+  const std::string checkpoint = flags.get("checkpoint", "");
+  if (!checkpoint.empty()) {
+    options.checkpoint_dir =
+        fleet::shard_stem(subdir.empty() ? checkpoint : checkpoint + "/" + subdir, 0, 1);
+  }
   options.resume = flags.get_bool("resume");
   options.progress = flags.get_bool("progress");
   if (options.progress && util::log_level() > util::LogLevel::kInfo) {

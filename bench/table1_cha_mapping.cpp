@@ -32,10 +32,8 @@ void run_model(sim::XeonModel model, int instances, const util::CliFlags& flags,
                bool csv, bench::BenchReporter& reporter,
                bench::ExpectedActual& comparison) {
   fleet::SurveyOptions options =
-      bench::survey_options_from_flags(flags, instances, bench::kFleetSeed);
-  if (!options.checkpoint_dir.empty()) {
-    options.checkpoint_dir += std::string("/") + sim::to_string(model);
-  }
+      bench::survey_options_from_flags(flags, instances, bench::kFleetSeed,
+                                       sim::to_string(model));
   options.analyze = [](const fleet::InstanceTask&, const fleet::LocatedInstance& li,
                        fleet::InstanceRecord& record) {
     if (!li.result.success) return;

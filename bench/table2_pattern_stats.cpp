@@ -57,10 +57,8 @@ void analyze_accuracy(const fleet::InstanceTask&, const fleet::LocatedInstance& 
 ModelRow run_model(sim::XeonModel model, int instances, const util::CliFlags& flags,
                    bench::BenchReporter& reporter) {
   fleet::SurveyOptions options =
-      bench::survey_options_from_flags(flags, instances, bench::kFleetSeed * 3);
-  if (!options.checkpoint_dir.empty()) {
-    options.checkpoint_dir += std::string("/") + sim::to_string(model);
-  }
+      bench::survey_options_from_flags(flags, instances, bench::kFleetSeed * 3,
+                                       sim::to_string(model));
   options.analyze = analyze_accuracy;
   const fleet::SurveyResult survey = fleet::run_survey(model, options);
 

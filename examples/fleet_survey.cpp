@@ -9,10 +9,13 @@
 //
 // Three modes (first positional argument; default `survey`):
 //
-//   survey   run the whole fleet in this process
+//   survey   run the whole fleet in this process; --checkpoint DIR
+//            writes DIR/shard-0-of-1.rio + .manifest as it goes
 //   shard    run shard K of N (--shard-index/--shard-of/--shard-dir):
-//            writes shard-K-of-N.rio + .manifest under the shard dir
+//            writes shard-K-of-N.rio + .manifest under the shard dir;
+//            --resume continues a killed shard
 //   merge    combine the N shard outputs back into one survey result
+//            (a finished --checkpoint DIR merges as shard 0 of 1)
 //
 // The shard partition is deterministic and seeds are a function of the
 // global instance index, so `merge` reproduces the serial run exactly:
@@ -21,7 +24,8 @@
 //
 //   $ ./fleet_survey [--model 8259CL] [--instances 30] [--render-top 2]
 //                    [--jobs N] [--checkpoint DIR] [--resume] [--progress]
-//   $ ./fleet_survey shard --shard-index 0 --shard-of 3 --shard-dir DIR ...
+//   $ ./fleet_survey shard --shard-index 0 --shard-of 3 --shard-dir DIR
+//                          [--resume] ...
 //   $ ./fleet_survey merge --shard-of 3 --shard-dir DIR ...
 
 #include <cstdio>
@@ -124,8 +128,12 @@ int main(int argc, char** argv) {
       .add("instances", "N", "total fleet size (all modes)")
       .add("render-top", "N", "most common layouts to render")
       .add("jobs", "N", "worker threads (1 = serial reference)")
-      .add("checkpoint", "DIR", "persist completed instances under DIR")
-      .add("resume", "", "skip instances already in the checkpoint")
+      .add("checkpoint", "DIR",
+           "persist completed instances as the segment DIR/shard-0-of-1 "
+           "(survey mode)")
+      .add("resume", "",
+           "skip instances already in the checkpoint (survey mode) or in "
+           "the shard's own segment (shard mode)")
       .add("progress", "", "emit instances/sec + ETA lines on stderr")
       .add("stream", "",
            "do not retain per-instance records: aggregate in bounded "
@@ -165,12 +173,23 @@ int main(int argc, char** argv) {
   const std::string rio_path = flags.get("rio", "");
   const std::string out_path = flags.get("out", "");
   const std::string cache_path = flags.get("solution-cache-file", "");
+  // A shard's segment is already its checkpoint, and merge only reads:
+  // flags that would do nothing there are errors.
+  const bool stray_checkpoint = flags.has("checkpoint") && mode != "survey";
+  const bool stray_resume = flags.has("resume") && mode == "merge";
+  if (stray_checkpoint || stray_resume) {
+    std::cerr << "fleet_survey " << mode << ": --"
+              << (stray_checkpoint ? "checkpoint" : "resume")
+              << " does nothing in this mode\n";
+    return 2;
+  }
 
   fleet::SurveyOptions options;
   options.instances = static_cast<int>(flags.get_int("instances", 30));
   options.jobs = static_cast<int>(flags.get_int("jobs", 1));
   options.base_seed = 0xF1EE7ULL;
-  options.checkpoint_dir = flags.get("checkpoint", "");
+  const std::string checkpoint = flags.get("checkpoint", "");
+  if (!checkpoint.empty()) options.checkpoint_dir = fleet::shard_stem(checkpoint, 0, 1);
   options.resume = flags.get_bool("resume");
   options.progress = flags.get_bool("progress");
   options.keep_records = !flags.get_bool("stream");

@@ -50,9 +50,9 @@ class MapStore {
   void save_file(const std::string& path) const;
   static MapStore load_file(const std::string& path);
 
-  /// Appends one record to a store file, creating it if missing. This is
-  /// the fleet-checkpoint write path: O(1) per completed instance instead
-  /// of rewriting the whole store. The result stays load_file-compatible
+  /// Appends one record to a store file, creating it if missing: O(1)
+  /// per record instead of rewriting the whole store (bench/fleet_million
+  /// compares it with the recordio writer). The result stays load_file-compatible
   /// (later records for the same PPIN win, matching put()).
   static void append_file(const std::string& path, const CoreMap& map);
 

@@ -1,5 +1,11 @@
 #include "fleet/record_stream.hpp"
 
+#include <cinttypes>
+#include <cstdio>
+#include <cstdlib>
+#include <filesystem>
+#include <fstream>
+#include <sstream>
 #include <stdexcept>
 #include <utility>
 
@@ -8,6 +14,29 @@ namespace corelocate::fleet {
 namespace {
 
 using recordio::FieldType;
+
+constexpr const char* kManifestMagic = "fleet-shard v2";
+
+std::string fmt_hex(std::uint64_t value) {
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%" PRIx64, value);
+  return buf;
+}
+
+std::string format_manifest(const SegmentManifest& manifest) {
+  std::ostringstream out;
+  out << kManifestMagic << '\n'
+      << "model " << manifest.model << '\n'
+      << "base_seed " << fmt_hex(manifest.base_seed) << '\n'
+      << "fleet_seed " << fmt_hex(manifest.fleet_seed) << '\n';
+  if (manifest.committed) {
+    out << "range " << manifest.first << ' ' << manifest.count << '\n'
+        << "completed " << manifest.completed << '\n'
+        << "failed " << manifest.failed << '\n'
+        << "end\n";
+  }
+  return out.str();
+}
 
 enum Column : std::size_t {
   kIndex = 0,
@@ -70,12 +99,17 @@ recordio::Row encode_survey_record(const InstanceRecord& record) {
                                      record.map.llc_only_chas.end());
   row[kLlcOnlyChas] = std::move(llc_only);
 
-  // metrics is an ordered map with identifier-like keys (no ';'), so a
-  // ';'-joined name column plus a parallel value list round-trips it.
+  // metrics is an ordered map whose keys are non-empty and free of ';',
+  // so a ';'-joined name column plus a parallel value list round-trips it.
   std::string names;
+  names.reserve(record.metrics.size() * 24);  // the solver counter keys fit
   std::vector<double> values;
   values.reserve(record.metrics.size());
   for (const auto& [key, value] : record.metrics) {
+    if (key.empty() || key.find(';') != std::string::npos) {
+      throw std::invalid_argument("fleet: metric key \"" + key +
+                                  "\" is empty or contains ';'");
+    }
     if (!names.empty()) names.push_back(';');
     names.append(key);
     values.push_back(value);
@@ -132,73 +166,101 @@ InstanceRecord decode_survey_record(const recordio::Row& row) {
   return record;
 }
 
-namespace {
+SegmentPaths segment_paths(const std::string& stem) {
+  return SegmentPaths{stem + ".rio", stem + ".manifest"};
+}
 
-enum MapColumn : std::size_t {
-  kMCPpin = 0,
-  kMCRows,
-  kMCCols,
-  kMCChaPositions,
-  kMCOsCoreToCha,
-  kMCLlcOnlyChas,
-  kMCColumnCount,
-};
+int read_segment(const std::string& path, int first, int limit,
+                 std::uint64_t base_seed,
+                 const std::function<void(InstanceRecord)>& take,
+                 recordio::RecordReader::Stats* stats) {
+  recordio::RecordReader reader(path);
+  reader.require_schema(survey_record_schema());
+  recordio::Row row;
+  int rows = 0;
+  while (reader.next(&row)) {
+    if (rows == limit) {
+      throw std::runtime_error("fleet: " + path + " holds more than the " +
+                               std::to_string(limit) + " instances expected from it");
+    }
+    InstanceRecord record = decode_survey_record(row);
+    const int index = first + rows;
+    if (record.index != index ||
+        record.seed != base_seed + static_cast<std::uint64_t>(index)) {
+      throw std::runtime_error(
+          "fleet: " + path + " holds instance " + std::to_string(record.index) +
+          " (seed " + fmt_hex(record.seed) + ") where instance " +
+          std::to_string(index) + " (seed " +
+          fmt_hex(base_seed + static_cast<std::uint64_t>(index)) +
+          ") was expected: the segment does not fit this survey");
+    }
+    ++rows;
+    take(std::move(record));
+  }
+  if (stats != nullptr) *stats = reader.stats();
+  return rows;
+}
 
-}  // namespace
+void write_manifest(const std::string& path, const SegmentManifest& manifest) {
+  const std::string staging = path + ".tmp";
+  {
+    std::ofstream out(staging, std::ios::binary | std::ios::trunc);
+    out << format_manifest(manifest);
+    out.flush();
+    if (!out.good()) {
+      throw std::runtime_error("fleet: cannot write manifest: " + staging);
+    }
+  }
+  std::filesystem::rename(staging, path);
+}
 
-const recordio::Schema& core_map_schema() {
-  static const recordio::Schema schema = {
-      {"ppin", FieldType::kU64},
-      {"rows", FieldType::kU64},
-      {"cols", FieldType::kU64},
-      {"cha_positions", FieldType::kI64List},
-      {"os_core_to_cha", FieldType::kI64List},
-      {"llc_only_chas", FieldType::kI64List},
+SegmentManifest read_manifest(const std::string& path, const SegmentManifest& identity) {
+  std::ifstream in(path, std::ios::binary);
+  if (!in) throw std::runtime_error("fleet: missing segment manifest: " + path);
+  std::ostringstream buffer;
+  buffer << in.rdbuf();
+  const std::string text = buffer.str();
+
+  std::vector<std::string> lines;
+  lines.reserve(8);  // a committed manifest
+  std::istringstream line_stream(text);
+  for (std::string line; std::getline(line_stream, line);) lines.push_back(line);
+  if (lines.empty() || lines[0] != kManifestMagic) {
+    throw std::runtime_error("fleet: not a segment manifest (expected \"" +
+                             std::string(kManifestMagic) + "\"): " + path);
+  }
+  // The value after `key ` on line i, or "" when the line is not there.
+  const auto value = [&lines](std::size_t i, const std::string& key) {
+    if (i >= lines.size() || lines[i].rfind(key + ' ', 0) != 0) return std::string();
+    return lines[i].substr(key.size() + 1);
   };
-  return schema;
-}
-
-recordio::Row encode_core_map(const core::CoreMap& map) {
-  recordio::Row row(kMCColumnCount);
-  row[kMCPpin] = map.ppin;
-  row[kMCRows] = static_cast<std::uint64_t>(map.rows);
-  row[kMCCols] = static_cast<std::uint64_t>(map.cols);
-  std::vector<std::int64_t> positions;
-  positions.reserve(map.cha_position.size() * 2);
-  for (const mesh::Coord& coord : map.cha_position) {
-    positions.push_back(coord.row);
-    positions.push_back(coord.col);
+  SegmentManifest manifest;
+  manifest.model = value(1, "model");
+  manifest.base_seed = std::strtoull(value(2, "base_seed").c_str(), nullptr, 16);
+  manifest.fleet_seed = std::strtoull(value(3, "fleet_seed").c_str(), nullptr, 16);
+  manifest.committed = lines.size() > 4;
+  if (manifest.committed) {
+    std::istringstream(value(4, "range")) >> manifest.first >> manifest.count;
+    std::istringstream(value(5, "completed")) >> manifest.completed;
+    std::istringstream(value(6, "failed")) >> manifest.failed;
   }
-  row[kMCChaPositions] = std::move(positions);
-  row[kMCOsCoreToCha] =
-      std::vector<std::int64_t>(map.os_core_to_cha.begin(), map.os_core_to_cha.end());
-  row[kMCLlcOnlyChas] =
-      std::vector<std::int64_t>(map.llc_only_chas.begin(), map.llc_only_chas.end());
-  return row;
-}
-
-core::CoreMap decode_core_map(const recordio::Row& row) {
-  if (row.size() != kMCColumnCount) {
-    throw std::runtime_error("fleet: core map row has wrong column count");
+  // The parse above is lenient; the writer is deterministic, so a card
+  // that does not re-serialize to its own bytes is malformed.
+  if (format_manifest(manifest) != text) {
+    throw std::runtime_error("fleet: malformed segment manifest: " + path);
   }
-  core::CoreMap map;
-  map.ppin = std::get<std::uint64_t>(row[kMCPpin]);
-  map.rows = static_cast<int>(std::get<std::uint64_t>(row[kMCRows]));
-  map.cols = static_cast<int>(std::get<std::uint64_t>(row[kMCCols]));
-  const auto& positions = std::get<std::vector<std::int64_t>>(row[kMCChaPositions]);
-  if (positions.size() % 2 != 0) {
-    throw std::runtime_error("fleet: core map row has an odd CHA position list");
-  }
-  map.cha_position.reserve(positions.size() / 2);
-  for (std::size_t i = 0; i + 1 < positions.size(); i += 2) {
-    map.cha_position.push_back(mesh::Coord{static_cast<int>(positions[i]),
-                                           static_cast<int>(positions[i + 1])});
-  }
-  const auto& os_map = std::get<std::vector<std::int64_t>>(row[kMCOsCoreToCha]);
-  map.os_core_to_cha.assign(os_map.begin(), os_map.end());
-  const auto& llc_only = std::get<std::vector<std::int64_t>>(row[kMCLlcOnlyChas]);
-  map.llc_only_chas.assign(llc_only.begin(), llc_only.end());
-  return map;
+  const auto check = [&path](const char* field, const std::string& got,
+                             const std::string& want) {
+    if (got != want) {
+      throw std::runtime_error("fleet: manifest " + path +
+                               " belongs to a different survey (" + field + " " + got +
+                               ", expected " + want + ")");
+    }
+  };
+  check("model", manifest.model, identity.model);
+  check("base_seed", fmt_hex(manifest.base_seed), fmt_hex(identity.base_seed));
+  check("fleet_seed", fmt_hex(manifest.fleet_seed), fmt_hex(identity.fleet_seed));
+  return manifest;
 }
 
 OrderedSink::OrderedSink(int first_index, Emit emit)

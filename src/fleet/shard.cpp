@@ -1,134 +1,14 @@
 #include "fleet/shard.hpp"
 
-#include <cinttypes>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
-#include <sstream>
 #include <stdexcept>
 #include <utility>
 
 #include "fleet/aggregator.hpp"
 #include "fleet/record_stream.hpp"
 #include "obs/trace.hpp"
-#include "recordio/reader.hpp"
-#include "recordio/writer.hpp"
-#include "util/log.hpp"
 
 namespace corelocate::fleet {
-
-namespace {
-
-constexpr const char* kShardMagic = "fleet-shard v1";
-
-std::string fmt_hex(std::uint64_t value) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%" PRIx64, value);
-  return buf;
-}
-
-std::string shard_tag(int shard_index, int shard_of) {
-  return "shard-" + std::to_string(shard_index) + "-of-" + std::to_string(shard_of);
-}
-
-struct ShardManifest {
-  std::string model;
-  std::string base_seed_hex;
-  std::string fleet_seed_hex;
-  int instances = 0;
-  int shard_index = 0;
-  int shard_of = 0;
-  ShardRange range;
-  int completed = 0;
-  int failed = 0;
-};
-
-void write_manifest(const std::string& path, const ShardManifest& manifest) {
-  std::ofstream out(path, std::ios::trunc);
-  if (!out) throw std::runtime_error("fleet shard: cannot open manifest: " + path);
-  out << kShardMagic << '\n'
-      << "model " << manifest.model << '\n'
-      << "base_seed " << manifest.base_seed_hex << '\n'
-      << "fleet_seed " << manifest.fleet_seed_hex << '\n'
-      << "instances " << manifest.instances << '\n'
-      << "shard " << manifest.shard_index << ' ' << manifest.shard_of << '\n'
-      << "range " << manifest.range.first << ' ' << manifest.range.count << '\n'
-      << "completed " << manifest.completed << '\n'
-      << "failed " << manifest.failed << '\n'
-      << "end\n";
-  out.flush();
-  if (!out.good()) {
-    throw std::runtime_error("fleet shard: manifest write failed: " + path);
-  }
-}
-
-ShardManifest read_manifest(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) {
-    throw std::runtime_error(
-        "fleet merge: missing shard manifest (shard crashed or never ran?): " +
-        path);
-  }
-  std::string line;
-  if (!std::getline(in, line) || line != kShardMagic) {
-    throw std::runtime_error("fleet merge: not a shard manifest: " + path);
-  }
-  ShardManifest manifest;
-  bool saw_end = false;
-  while (std::getline(in, line)) {
-    if (line == "end") {
-      saw_end = true;
-      break;
-    }
-    std::istringstream iss(line);
-    std::string key;
-    iss >> key;
-    bool ok = true;
-    if (key == "model") {
-      // Model names contain spaces: the value is the rest of the line.
-      const auto space = line.find(' ');
-      ok = space != std::string::npos;
-      if (ok) manifest.model = line.substr(space + 1);
-    } else if (key == "base_seed") {
-      ok = static_cast<bool>(iss >> manifest.base_seed_hex);
-    } else if (key == "fleet_seed") {
-      ok = static_cast<bool>(iss >> manifest.fleet_seed_hex);
-    } else if (key == "instances") {
-      ok = static_cast<bool>(iss >> manifest.instances);
-    } else if (key == "shard") {
-      ok = static_cast<bool>(iss >> manifest.shard_index >> manifest.shard_of);
-    } else if (key == "range") {
-      ok = static_cast<bool>(iss >> manifest.range.first >> manifest.range.count);
-    } else if (key == "completed") {
-      ok = static_cast<bool>(iss >> manifest.completed);
-    } else if (key == "failed") {
-      ok = static_cast<bool>(iss >> manifest.failed);
-    } else {
-      ok = false;
-    }
-    if (!ok) {
-      throw std::runtime_error("fleet merge: malformed shard manifest line \"" +
-                               line + "\" in " + path);
-    }
-  }
-  if (!saw_end) {
-    throw std::runtime_error(
-        "fleet merge: truncated shard manifest (shard still running or torn "
-        "write): " + path);
-  }
-  return manifest;
-}
-
-void check_field(const std::string& path, const char* field,
-                 const std::string& got, const std::string& expected) {
-  if (got != expected) {
-    throw std::runtime_error("fleet merge: shard manifest " + path +
-                             " belongs to a different survey (" + field + " " +
-                             got + ", expected " + expected + ")");
-  }
-}
-
-}  // namespace
 
 ShardRange shard_range(int instances, int shard_index, int shard_of) {
   if (instances < 0) throw std::invalid_argument("shard_range: instances < 0");
@@ -143,9 +23,9 @@ ShardRange shard_range(int instances, int shard_index, int shard_of) {
   return ShardRange{lo, hi - lo};
 }
 
-ShardPaths shard_paths(const std::string& dir, int shard_index, int shard_of) {
-  const std::string stem = dir + "/" + shard_tag(shard_index, shard_of);
-  return ShardPaths{stem + ".rio", stem + ".manifest"};
+std::string shard_stem(const std::string& dir, int shard_index, int shard_of) {
+  return dir + "/shard-" + std::to_string(shard_index) + "-of-" +
+         std::to_string(shard_of);
 }
 
 ShardResult run_shard(sim::XeonModel model, const ShardOptions& options) {
@@ -156,49 +36,24 @@ ShardResult run_shard(sim::XeonModel model, const ShardOptions& options) {
     throw std::invalid_argument(
         "run_shard: first_instance is owned by the shard partition");
   }
+  if (!options.survey.checkpoint_dir.empty()) {
+    throw std::invalid_argument(
+        "run_shard: the shard segment is the checkpoint; checkpoint_dir must be "
+        "empty");
+  }
   ShardResult result;
   result.range = shard_range(options.survey.instances, options.shard_index,
                              options.shard_of);
-  result.paths = shard_paths(options.shard_dir, options.shard_index, options.shard_of);
-  std::filesystem::create_directories(options.shard_dir);
-  // Manifest-last commit: kill any stale manifest before the segment is
-  // rewritten, so a crash mid-run never leaves a committed-looking pair.
-  std::filesystem::remove(result.paths.manifest);
-
   SurveyOptions sub = options.survey;
   sub.first_instance = result.range.first;
   sub.instances = result.range.count;
+  sub.checkpoint_dir = shard_stem(options.shard_dir, options.shard_index,
+                                  options.shard_of);
+  result.paths = segment_paths(sub.checkpoint_dir);
   sub.progress_label =
       "shard " + std::to_string(options.shard_index) + "/" +
       std::to_string(options.shard_of);
-  {
-    recordio::RecordWriter writer(result.paths.segment, survey_record_schema());
-    const auto user_sink = options.survey.record_sink;
-    sub.record_sink = [&writer, &user_sink](const InstanceRecord& record) {
-      writer.append_row(encode_survey_record(record));
-      if (user_sink) user_sink(record);
-    };
-    result.survey = run_survey(model, sub);
-    writer.close();
-    result.survey.registry.counter("fleet.recordio.bytes_written")
-        .add(writer.stats().bytes_written);
-    result.survey.registry.counter("fleet.recordio.blocks").add(writer.stats().blocks);
-    // One CRC per block plus the container header's.
-    result.survey.registry.counter("fleet.recordio.crc_checks")
-        .add(writer.stats().blocks + 1);
-  }
-
-  ShardManifest manifest;
-  manifest.model = sim::to_string(model);
-  manifest.base_seed_hex = fmt_hex(options.survey.base_seed);
-  manifest.fleet_seed_hex = fmt_hex(options.survey.fleet_seed);
-  manifest.instances = options.survey.instances;
-  manifest.shard_index = options.shard_index;
-  manifest.shard_of = options.shard_of;
-  manifest.range = result.range;
-  manifest.completed = result.survey.completed;
-  manifest.failed = result.survey.failed;
-  write_manifest(result.paths.manifest, manifest);
+  result.survey = run_survey(model, sub);
   return result;
 }
 
@@ -215,29 +70,31 @@ SurveyResult merge_shards(sim::XeonModel model, const MergeOptions& options) {
   obs::Span merge_span("merge_shards", "fleet");
   merge_span.arg("shards", obs::Json(options.shard_of));
 
-  const std::string expected_model = sim::to_string(model);
-  const std::string expected_base = fmt_hex(options.survey.base_seed);
-  const std::string expected_fleet = fmt_hex(options.survey.fleet_seed);
-
+  const SegmentManifest identity{sim::to_string(model), options.survey.base_seed,
+                                 options.survey.fleet_seed};
   Aggregator aggregator(1, options.survey.keep_records);
   ProgressMeter meter(options.survey.instances, options.survey.progress, "merge");
   SurveyResult result;
 
   std::uint64_t crc_checks = 0, blocks = 0, bytes_read = 0;
-  int next_index = 0;
   int manifest_completed = 0, manifest_failed = 0;
   for (int shard = 0; shard < options.shard_of; ++shard) {
-    const ShardPaths paths = shard_paths(options.shard_dir, shard, options.shard_of);
-    const ShardManifest manifest = read_manifest(paths.manifest);
-    check_field(paths.manifest, "model", manifest.model, expected_model);
-    check_field(paths.manifest, "base_seed", manifest.base_seed_hex, expected_base);
-    check_field(paths.manifest, "fleet_seed", manifest.fleet_seed_hex, expected_fleet);
-    const ShardRange expected_range =
+    const SegmentPaths paths =
+        segment_paths(shard_stem(options.shard_dir, shard, options.shard_of));
+    if (!std::filesystem::exists(paths.manifest)) {
+      throw std::runtime_error(
+          "fleet merge: missing shard manifest (shard crashed or never ran?): " +
+          paths.manifest);
+    }
+    const SegmentManifest manifest = read_manifest(paths.manifest, identity);
+    if (!manifest.committed) {
+      throw std::runtime_error(
+          "fleet merge: uncommitted shard manifest (shard still running or "
+          "killed; re-run it with --resume): " + paths.manifest);
+    }
+    const ShardRange range =
         shard_range(options.survey.instances, shard, options.shard_of);
-    if (manifest.instances != options.survey.instances ||
-        manifest.shard_index != shard || manifest.shard_of != options.shard_of ||
-        manifest.range.first != expected_range.first ||
-        manifest.range.count != expected_range.count) {
+    if (manifest.first != range.first || manifest.count != range.count) {
       throw std::runtime_error(
           "fleet merge: shard manifest " + paths.manifest +
           " does not tile this survey (wrong fleet size, shard count or range)");
@@ -245,37 +102,23 @@ SurveyResult merge_shards(sim::XeonModel model, const MergeOptions& options) {
     manifest_completed += manifest.completed;
     manifest_failed += manifest.failed;
 
-    recordio::RecordReader reader(paths.segment);
-    reader.require_schema(survey_record_schema());
-    recordio::Row row;
-    int rows_in_shard = 0;
-    while (reader.next(&row)) {
-      InstanceRecord record = decode_survey_record(row);
-      if (record.index != next_index) {
-        throw std::runtime_error(
-            "fleet merge: " + paths.segment + " yields instance " +
-            std::to_string(record.index) + " where " + std::to_string(next_index) +
-            " was expected (shards overlap, skip, or are unordered)");
-      }
-      ++next_index;
-      ++rows_in_shard;
-      if (options.survey.record_sink) options.survey.record_sink(record);
-      meter.instance_done(0.0, 0.0, 0.0, 0.0);
-      aggregator.add(0, std::move(record));
-    }
-    if (rows_in_shard != manifest.range.count) {
+    recordio::RecordReader::Stats stats;
+    const int rows = read_segment(
+        paths.segment, range.first, range.count, options.survey.base_seed,
+        [&](InstanceRecord record) {
+          if (options.survey.record_sink) options.survey.record_sink(record);
+          meter.instance_done(0.0, 0.0, 0.0, 0.0);
+          aggregator.add(0, std::move(record));
+        },
+        &stats);
+    if (rows != range.count) {
       throw std::runtime_error("fleet merge: " + paths.segment + " holds " +
-                               std::to_string(rows_in_shard) + " records, manifest "
-                               "promises " + std::to_string(manifest.range.count));
+                               std::to_string(rows) + " records, manifest promises " +
+                               std::to_string(range.count));
     }
-    crc_checks += reader.stats().crc_checks;
-    blocks += reader.stats().blocks_read;
-    bytes_read += reader.stats().bytes_read;
-  }
-  if (next_index != options.survey.instances) {
-    throw std::runtime_error("fleet merge: shards cover " +
-                             std::to_string(next_index) + " of " +
-                             std::to_string(options.survey.instances) + " instances");
+    crc_checks += stats.crc_checks;
+    blocks += stats.blocks_read;
+    bytes_read += stats.bytes_read;
   }
 
   AggregateResult merged = aggregator.merge();
@@ -291,7 +134,7 @@ SurveyResult merge_shards(sim::XeonModel model, const MergeOptions& options) {
   result.failed = merged.failed;
   result.timing = meter.summary();
   result.registry.counter("fleet.instances")
-      .add(static_cast<std::uint64_t>(next_index));
+      .add(static_cast<std::uint64_t>(options.survey.instances));
   result.registry.counter("fleet.failures")
       .add(static_cast<std::uint64_t>(merged.failed));
   result.registry.counter("fleet.recordio.crc_checks").add(crc_checks);

@@ -10,12 +10,15 @@
 // shard computes byte-for-byte the records the serial run computes for
 // those indices.
 //
-// Each shard process writes, under the shard directory:
-//   shard-K-of-N.rio      — recordio segment of its records, index order
-//   shard-K-of-N.manifest — text identity card (model, seeds, fleet
-//                           size, range, outcome counts), written last:
-//                           its existence commits the segment, the same
-//                           manifest-last protocol as the checkpoint.
+// Each shard process writes one survey segment (fleet/record_stream.hpp)
+// at the stem shard_dir/shard-K-of-N, by running its range through
+// run_survey with that stem as the checkpoint:
+//   shard-K-of-N.rio      — its records in index order, one block each
+//   shard-K-of-N.manifest — identity (model, seeds) from the start, then
+//                           range, outcome counts and `end` once the
+//                           last record is durable: `end` commits the
+//                           segment, and a killed shard resumes with
+//                           `resume = true` like any checkpoint.
 //
 // merge_shards() validates the manifests against the expected survey
 // identity, streams the segments in shard order, and re-aggregates.
@@ -29,6 +32,7 @@
 #include <functional>
 #include <string>
 
+#include "fleet/record_stream.hpp"
 #include "fleet/survey.hpp"
 
 namespace corelocate::fleet {
@@ -44,17 +48,17 @@ struct ShardRange {
 /// 0 <= shard_index < shard_of and instances >= 0.
 ShardRange shard_range(int instances, int shard_index, int shard_of);
 
-struct ShardPaths {
-  std::string segment;   ///< shard-K-of-N.rio
-  std::string manifest;  ///< shard-K-of-N.manifest
-};
+/// `dir/shard-K-of-N`: the segment stem of one shard. A checkpointed
+/// survey is shard 0 of 1 of itself (see SurveyOptions::checkpoint_dir).
+std::string shard_stem(const std::string& dir, int shard_index, int shard_of);
 
-ShardPaths shard_paths(const std::string& dir, int shard_index, int shard_of);
 
 struct ShardOptions {
   /// Fleet-wide survey options: `instances` is the TOTAL fleet size
   /// (the shard derives its own range), seeds identify the survey.
-  /// first_instance must be 0 — sharding owns the partition.
+  /// first_instance must be 0 — sharding owns the partition — and
+  /// checkpoint_dir empty, since the shard segment is the checkpoint;
+  /// `resume` continues a killed shard.
   SurveyOptions survey;
   std::string shard_dir;
   int shard_index = 0;
@@ -64,12 +68,13 @@ struct ShardOptions {
 struct ShardResult {
   SurveyResult survey;  ///< this shard's slice
   ShardRange range;
-  ShardPaths paths;
+  SegmentPaths paths;  ///< segment_paths(shard_stem(...))
 };
 
 /// Runs shard `shard_index` of `shard_of` and writes its segment +
 /// manifest. The survey's record_sink, if set, still sees the shard's
-/// records (index order) after they hit the segment writer.
+/// records (index order, resumed ones included) after they hit the
+/// segment writer.
 ShardResult run_shard(sim::XeonModel model, const ShardOptions& options);
 
 struct MergeOptions {
@@ -85,8 +90,8 @@ struct MergeOptions {
 };
 
 /// Merges the `shard_of` shard outputs under shard_dir. Throws
-/// std::runtime_error on a missing/foreign/overlapping shard or any
-/// segment damage (recordio CRCs make corruption loud). The result's
+/// std::runtime_error on a missing, uncommitted, foreign or misplaced
+/// shard or any segment damage (recordio CRCs make corruption loud). The result's
 /// registry carries fleet.recordio.* read counters; timing stats are
 /// empty — merge replays outcomes, not work.
 SurveyResult merge_shards(sim::XeonModel model, const MergeOptions& options);

@@ -2,15 +2,14 @@
 
 #include <filesystem>
 #include <optional>
-#include <set>
 #include <stdexcept>
 
 #include "fleet/aggregator.hpp"
-#include "fleet/checkpoint.hpp"
 #include "fleet/record_stream.hpp"
 #include "fleet/thread_pool.hpp"
 #include "obs/clock.hpp"
 #include "obs/trace.hpp"
+#include "recordio/writer.hpp"
 #include "util/hotpath.hpp"
 #include "util/log.hpp"
 
@@ -38,11 +37,11 @@ InstanceRecord run_instance(const InstanceTask& task, const AnalyzeFn& analyze,
     record.step1_seconds = located.result.step1_seconds;
     record.step2_seconds = located.result.step2_seconds;
     record.step3_seconds = located.result.step3_seconds;
-    // Deterministic solver work counters; identifier-like keys so they
-    // round-trip through the checkpoint manifest on resume. A solution-
-    // cache hit replays the cold solve's counters, so these stay
-    // partition-independent; the hit/miss flag itself is deliberately
-    // NOT recorded (it depends on how work was sharded).
+    // Deterministic solver work counters; they round-trip through the
+    // checkpoint segment on resume. A solution-cache hit replays the cold
+    // solve's counters, so these stay partition-independent; the hit/miss
+    // flag itself is deliberately NOT recorded (it depends on how work
+    // was sharded).
     record.metrics["solver_nodes"] = static_cast<double>(located.result.solver_nodes);
     record.metrics["solver_lp_iterations"] =
         static_cast<double>(located.result.solver_lp_iterations);
@@ -62,7 +61,9 @@ InstanceRecord run_instance(const InstanceTask& task, const AnalyzeFn& analyze,
 
 /// Folds one completed record into a worker's observability registry.
 /// Counters/stats over deterministic record fields merge bit-identically
-/// across any worker partition; the *_seconds stats are timing metadata.
+/// across any worker partition; the *_seconds stats are timing metadata
+/// and, as in Aggregator::add, only count records computed by this run
+/// (a resumed record has no timings).
 void observe_record(obs::Registry& registry, const InstanceRecord& record) {
   registry.counter("fleet.instances").add(1);
   registry.counter("fleet.failures").add(record.success ? 0u : 1u);
@@ -78,12 +79,32 @@ void observe_record(obs::Registry& registry, const InstanceRecord& record) {
       .add(static_cast<std::uint64_t>(metric("solver_nodes_pruned")));
   registry.counter("fleet.solver_lp_solves_avoided")
       .add(static_cast<std::uint64_t>(metric("solver_lp_solves_avoided")));
+  if (record.from_checkpoint) return;
   registry.stat("fleet.step1_seconds").add(record.step1_seconds);
   registry.stat("fleet.step2_seconds").add(record.step2_seconds);
   registry.stat("fleet.step3_seconds").add(record.step3_seconds);
   registry.stat("fleet.instance_wall_seconds").add(record.wall_seconds);
   registry.histogram("fleet.instance_wall_hist", 0.0, 10.0, 1000)
       .add(record.wall_seconds);
+}
+
+/// Whether `stem` holds a segment of this survey to resume. Throws
+/// std::runtime_error for another survey's segment, and for a directory
+/// that holds only a checkpoint written before checkpoints became survey
+/// segments (manifest.txt + maps.rio + timings.txt).
+bool can_resume(const std::string& stem, const SegmentManifest& identity) {
+  const std::string path = segment_paths(stem).manifest;
+  if (!std::filesystem::exists(path)) {
+    const std::filesystem::path old = std::filesystem::path(stem).parent_path() /
+                                      "manifest.txt";
+    if (std::filesystem::exists(old)) {
+      throw std::runtime_error("fleet: " + old.string() +
+                               " is an old checkpoint format, re-run without --resume");
+    }
+    return false;
+  }
+  read_manifest(path, identity);
+  return true;
 }
 
 }  // namespace
@@ -124,59 +145,58 @@ SurveyResult run_survey(sim::XeonModel model, const SurveyOptions& options) {
   // (same exclusion argument as the aggregator buckets), merged below.
   std::vector<obs::Registry> registries(static_cast<std::size_t>(jobs));
 
-  // Load (or reset) the checkpoint. Resumed records go straight into the
-  // aggregator; only the remaining indices are scheduled.
-  std::optional<Checkpoint> checkpoint;
-  std::set<int> have;
-  std::vector<InstanceRecord> resumed_records;
-  int resumed = 0;
-  if (!options.checkpoint_dir.empty()) {
-    checkpoint.emplace(options.checkpoint_dir, model, options.base_seed,
-                       options.fleet_seed);
-    if (options.resume) {
-      std::vector<InstanceRecord> loaded = checkpoint->load_completed();
-      resumed_records.reserve(loaded.size());
-      for (InstanceRecord& record : loaded) {
-        if (record.index < first || record.index >= end) continue;
-        if (!have.insert(record.index).second) continue;  // duplicate: first wins
-        resumed_records.push_back(std::move(record));
-        ++resumed;
-      }
-      meter.note_resumed(resumed);
-      util::log_info() << "fleet: resumed " << resumed << "/" << options.instances
-                       << " instances from " << options.checkpoint_dir;
-    } else {
-      // Fresh survey: stale files from an earlier run must not leak in.
-      std::filesystem::remove(checkpoint->manifest_path());
-      std::filesystem::remove(checkpoint->maps_path());
-      std::filesystem::remove(checkpoint->timings_path());
-    }
+  // The checkpoint is a survey segment (record_stream.hpp): one CRC
+  // block per record in `<stem>.rio`, so a record is durable once the
+  // sink has passed it on, and the survey's identity in the manifest.
+  const std::string& stem = options.checkpoint_dir;
+  const SegmentPaths paths = segment_paths(stem);
+  SegmentManifest manifest{sim::to_string(model), options.base_seed, options.fleet_seed};
+  std::optional<recordio::RecordWriter> segment;
+  const bool resuming = options.resume && can_resume(stem, manifest);
+  if (!stem.empty()) {
+    const std::filesystem::path parent = std::filesystem::path(stem).parent_path();
+    if (!parent.empty()) std::filesystem::create_directories(parent);
+    // Uncommit before any segment byte changes: from here until the
+    // commit below, a killed run leaves a manifest without `end`.
+    write_manifest(paths.manifest, manifest);
+    recordio::WriterOptions writer_options;
+    writer_options.append = resuming;  // append mode truncates a torn tail
+    segment.emplace(paths.segment, survey_record_schema(), writer_options);
+    segment->flush();  // puts the header on disk before a resume reads it
   }
 
   // Every record — resumed or computed, whatever the completion order —
-  // drains through one index-ordered sink, so the checkpoint files and
-  // the caller's record stream are byte-for-byte independent of jobs.
+  // drains through one index-ordered sink, so the segment and the
+  // caller's record stream are byte-for-byte independent of jobs.
   std::optional<OrderedSink> sink;
-  if (checkpoint || options.record_sink) {
+  if (segment || options.record_sink) {
     sink.emplace(first, [&](const InstanceRecord& record) {
-      if (checkpoint && !record.from_checkpoint) checkpoint->record(record);
+      if (segment && !record.from_checkpoint) {
+        segment->append_row(encode_survey_record(record));
+        segment->flush();
+      }
       if (options.record_sink) options.record_sink(record);
     });
   }
-  for (InstanceRecord& record : resumed_records) {
-    // Resumed instances fold into worker 0's registry (their wall times
-    // come from the checkpoint's timings.txt sidecar).
-    observe_record(registries[0], record);
-    if (sink) sink->deliver(record);
-    aggregator.add(0, std::move(record));
+  int resumed = 0;
+  if (resuming) {
+    // The segment's rows are a contiguous index-ordered prefix of this
+    // survey; they fold into worker 0's slots, and only the rest runs.
+    resumed = read_segment(paths.segment, first, options.instances, options.base_seed,
+                           [&](InstanceRecord record) {
+                             record.from_checkpoint = true;
+                             observe_record(registries[0], record);
+                             sink->deliver(record);
+                             aggregator.add(0, std::move(record));
+                           });
+    meter.note_resumed(resumed);
+    util::log_info() << "fleet: resumed " << resumed << "/" << options.instances
+                     << " instances from " << paths.segment;
   }
-  resumed_records.clear();
 
   std::vector<int> todo;
-  todo.reserve(static_cast<std::size_t>(options.instances));
-  for (int i = first; i < end; ++i) {
-    if (!have.count(i)) todo.push_back(i);
-  }
+  todo.reserve(static_cast<std::size_t>(end - first - resumed));
+  for (int i = first + resumed; i < end; ++i) todo.push_back(i);
 
   // Per-worker solution caches, seeded from the caller's cache. A worker
   // only ever touches its own copy (the exclusion argument of the
@@ -240,6 +260,19 @@ SurveyResult run_survey(sim::XeonModel model, const SurveyOptions& options) {
 
   AggregateResult merged = aggregator.merge();
   SurveyResult result;
+  if (segment) {
+    // Every record is durable: commit the segment.
+    segment->close();
+    manifest.committed = true;
+    manifest.first = first;
+    manifest.count = options.instances;
+    manifest.completed = merged.completed;
+    manifest.failed = merged.failed;
+    write_manifest(paths.manifest, manifest);
+    result.registry.counter("fleet.recordio.bytes_written")
+        .add(segment->stats().bytes_written);
+    result.registry.counter("fleet.recordio.blocks").add(segment->stats().blocks);
+  }
   result.records = std::move(merged.records);
   result.patterns = std::move(merged.patterns);
   result.id_mappings = std::move(merged.id_mappings);

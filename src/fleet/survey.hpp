@@ -16,13 +16,17 @@
 //
 // Checkpoint/resume
 // -----------------
-// With a checkpoint directory set, completed instances drain through an
-// index-ordered sink into the checkpoint (manifest line + recordio map
-// block, durable per record); `resume = true` loads those records and
-// only computes the rest. Index-ordered draining makes the checkpoint
-// files byte-identical across jobs counts — a parallel run may hold a
-// completed record in the reorder buffer until its predecessors land,
-// so a crash can cost up to ~jobs recomputes, never correctness.
+// A checkpoint is a survey segment (fleet/record_stream.hpp), the same
+// pair a shard writes: completed instances drain through an
+// index-ordered sink into `<stem>.rio`, one CRC block per record, and
+// `<stem>.manifest` carries the survey identity, committed with `end`
+// once the survey finishes. `resume = true` checks that identity, takes
+// the segment's valid rows (a torn tail block is cut away) as the first
+// instances of the survey, and computes only the rest. Index-ordered
+// draining makes the files byte-identical across jobs counts and across
+// kill/resume cycles — a parallel run may hold a completed record in the
+// reorder buffer until its predecessors land, so a crash can cost up to
+// ~jobs recomputes, never correctness.
 
 #include <cstdint>
 #include <functional>
@@ -49,7 +53,7 @@ LocatedInstance locate_instance(sim::XeonModel model, std::uint64_t seed,
 /// ground truth is still in hand (e.g. score against truth, try the
 /// refinement solver). Must be thread-safe: a pure function of its
 /// arguments writing only to `record`. Not re-run for resumed instances —
-/// whatever it stored in `record.metrics` is restored from the manifest.
+/// whatever it stored in `record.metrics` is restored from the segment.
 using AnalyzeFn =
     std::function<void(const InstanceTask&, const LocatedInstance&, InstanceRecord&)>;
 
@@ -65,8 +69,12 @@ struct SurveyOptions {
   std::uint64_t base_seed = 0;
   /// Fixes the manufacturing distribution (sim::InstanceFactory).
   std::uint64_t fleet_seed = sim::InstanceFactory::kDefaultFleetSeed;
-  std::string checkpoint_dir;  ///< empty = checkpointing off
-  bool resume = false;         ///< load completed instances from checkpoint_dir
+  /// Path stem of the checkpoint segment: the survey writes
+  /// `<stem>.rio` and `<stem>.manifest`, creating the parent directory.
+  /// fleet_survey maps `--checkpoint DIR` to shard_stem(DIR, 0, 1), so a
+  /// finished checkpoint merges as shard 0 of 1. Empty = checkpointing off.
+  std::string checkpoint_dir;
+  bool resume = false;  ///< continue the segment at checkpoint_dir
   bool progress = false;       ///< emit progress lines via util::log (info level)
   /// Optional cross-instance solution cache. Every worker runs with a
   /// private copy seeded from it (exact-hit replay only — the fleet
@@ -114,7 +122,8 @@ struct SurveyResult {
 };
 
 /// Runs the survey. Throws std::invalid_argument on bad options and
-/// std::runtime_error on checkpoint I/O failure; per-instance failures
+/// std::runtime_error on checkpoint I/O failure or a checkpoint that
+/// does not belong to this survey; per-instance failures
 /// (pipeline errors, exceptions from `analyze`) are captured in the
 /// instance record instead of aborting the fleet.
 SurveyResult run_survey(sim::XeonModel model, const SurveyOptions& options);

@@ -37,15 +37,16 @@ struct InstanceRecord {
   std::string message;           ///< failure reason when !success
   core::CoreMap map;             ///< valid when success
   // Measured stage durations. These are the only nondeterministic fields
-  // of the record: they never enter the manifest or any reproduced table,
-  // only the timings.txt sidecar and throughput reporting.
+  // of the record: they never enter a segment, a manifest or any
+  // reproduced table, only throughput reporting. A resumed record has
+  // none (all zero).
   double step1_seconds = 0.0;  // corelint: non-deterministic
   double step2_seconds = 0.0;  // corelint: non-deterministic
   double step3_seconds = 0.0;  // corelint: non-deterministic
   double wall_seconds = 0.0;   // corelint: non-deterministic
   /// Workload-specific counters (e.g. "exact" = map matched ground
-  /// truth). Keys must be identifier-like: no spaces, '=' or ';' (they
-  /// round-trip through the checkpoint manifest).
+  /// truth). Keys must be non-empty and free of ';' (the segment joins
+  /// them with ';'; encode_survey_record throws on a bad key).
   std::map<std::string, double> metrics;
 };
 

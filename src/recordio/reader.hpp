@@ -4,7 +4,7 @@
 // Reads one CRC-validated block at a time — memory is bounded by the
 // writer's block policy, never by the record count. Any framing or CRC
 // failure throws std::runtime_error by default; a reader never
-// misparses garbage into records. The fleet checkpoint opts into
+// misparses garbage into records. The append-mode writer opts into
 // tolerate_trailing_corruption to treat a torn final block (crashed
 // writer) as end-of-stream instead, and uses valid_prefix_bytes() to
 // truncate the tail before resuming appends.

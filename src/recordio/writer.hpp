@@ -10,10 +10,10 @@
 //
 // Durability: flush() closes the current block (if any rows are
 // buffered) and flushes the stream, so a caller that needs per-record
-// durability (the fleet checkpoint) calls flush() after every
-// append_row at the cost of one block per record. Callers that only
-// need segment-level durability (fleet shards) let the block policy
-// batch rows.
+// durability (a checkpointed survey or shard segment) calls flush()
+// after every append_row at the cost of one block per record. Callers
+// that only need file-level durability (a --rio export, a merge) let
+// the block policy batch rows.
 //
 // Determinism: the byte stream is a pure function of (schema, rows,
 // block policy). corelint registers RecordWriter as a determinism-taint

@@ -13,13 +13,12 @@
 //   10..19  fleet::ThreadPool internals (deques below idle accounting)
 //   20..24  fleet::ThreadPool idle/pending accounting
 //   25..29  fleet::OrderedSink — the reorder buffer drains into the
-//           checkpoint from inside its emit callback, so the sink must
-//           rank below every lock the drain can take
-//   30..39  fleet::Checkpoint
+//           checkpoint segment from inside its emit callback, so the
+//           sink must rank below every lock the drain can take
 //   40..49  fleet::ProgressMeter
 //   50..59  obs::Tracer (registry below per-thread buffers)
 // The obs ranks sit above every fleet rank on purpose: spans are taken
-// inside fleet critical sections (checkpoint record, progress emit), so
+// inside fleet critical sections (sink drain, progress emit), so
 // tracer locks must always be acquirable while fleet locks are held,
 // never the other way around.
 
@@ -28,7 +27,6 @@ namespace corelocate::util::lockcheck {
 inline constexpr int kRankPoolDeque = 10;
 inline constexpr int kRankPoolIdle = 20;
 inline constexpr int kRankRecordSink = 25;
-inline constexpr int kRankCheckpoint = 30;
 inline constexpr int kRankProgress = 40;
 inline constexpr int kRankObsTracer = 50;
 inline constexpr int kRankObsTraceBuffer = 52;
@@ -36,7 +34,7 @@ inline constexpr int kRankObsTraceBuffer = 52;
 namespace detail {
 
 inline constexpr int kAllRanks[] = {
-    kRankPoolDeque, kRankPoolIdle,  kRankRecordSink,     kRankCheckpoint,
+    kRankPoolDeque, kRankPoolIdle,  kRankRecordSink,
     kRankProgress,  kRankObsTracer, kRankObsTraceBuffer,
 };
 

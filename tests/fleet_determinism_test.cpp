@@ -92,11 +92,11 @@ TEST(FleetDeterminism, ResumedParallelSurveyMatchesSerialReference) {
 
   SurveyOptions partial = options_with_jobs(8);
   partial.instances = 12;
-  partial.checkpoint_dir = dir.string();
+  partial.checkpoint_dir = (dir / "ck").string();
   run_survey(sim::XeonModel::k8259CL, partial);
 
   SurveyOptions rest = options_with_jobs(8);
-  rest.checkpoint_dir = dir.string();
+  rest.checkpoint_dir = (dir / "ck").string();
   rest.resume = true;
   const SurveyResult resumed = run_survey(sim::XeonModel::k8259CL, rest);
   EXPECT_EQ(resumed.resumed, 12);

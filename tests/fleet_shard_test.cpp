@@ -7,7 +7,9 @@
 #include <sstream>
 
 #include "fleet/record_stream.hpp"
+#include "recordio/reader.hpp"
 #include "recordio/writer.hpp"
+#include "util/rng.hpp"
 
 namespace corelocate::fleet {
 namespace {
@@ -233,6 +235,123 @@ TEST_F(FleetShardTest, MergeRefusesACorruptedSegment) {
   merge_options.shard_of = 1;
   EXPECT_THROW(merge_shards(sim::XeonModel::k8124M, merge_options),
                std::runtime_error);
+}
+
+TEST_F(FleetShardTest, KilledShardResumesToTheSameBytes) {
+  constexpr int kInstances = 9;
+  const sim::XeonModel model = sim::XeonModel::k8124M;
+  const auto options_for = [&](const std::string& shard_dir, bool resume) {
+    ShardOptions shard_options;
+    shard_options.survey = base_options(kInstances);
+    shard_options.survey.resume = resume;
+    shard_options.shard_dir = shard_dir;
+    shard_options.shard_index = 1;
+    shard_options.shard_of = 2;
+    return shard_options;
+  };
+  const ShardResult whole = run_shard(model, options_for(path("whole"), false));
+
+  // A shard killed after two of its records: those two blocks on disk and
+  // a manifest that never got its commit lines.
+  const ShardResult killed = run_shard(model, options_for(path("killed"), false));
+  std::uint64_t two_rows = 0;
+  {
+    recordio::RecordReader reader(killed.paths.segment);
+    recordio::Row row;
+    for (int i = 0; i < 2; ++i) ASSERT_TRUE(reader.next(&row));
+    two_rows = reader.valid_prefix_bytes();
+  }
+  fs::resize_file(killed.paths.segment, two_rows);
+  write_manifest(killed.paths.manifest,
+                 SegmentManifest{sim::to_string(model), 0xC0FFEEULL,
+                                 sim::InstanceFactory::kDefaultFleetSeed});
+
+  MergeOptions merge_options;
+  merge_options.survey = base_options(kInstances);
+  merge_options.shard_dir = path("killed");
+  merge_options.shard_of = 2;
+  EXPECT_THROW(merge_shards(model, merge_options), std::runtime_error);
+
+  const ShardResult resumed = run_shard(model, options_for(path("killed"), true));
+  EXPECT_EQ(resumed.survey.resumed, 2);
+  EXPECT_EQ(read_bytes(resumed.paths.segment), read_bytes(whole.paths.segment));
+  EXPECT_EQ(read_bytes(resumed.paths.manifest), read_bytes(whole.paths.manifest));
+}
+
+TEST_F(FleetShardTest, CheckpointMergesAsShardZeroOfOne) {
+  constexpr int kInstances = 5;
+  const sim::XeonModel model = sim::XeonModel::k8124M;
+  const std::string serial_rio = path("serial.rio");
+  {
+    recordio::RecordWriter writer(serial_rio, survey_record_schema());
+    SurveyOptions options = base_options(kInstances);
+    options.checkpoint_dir = shard_stem(path("ck"), 0, 1);
+    options.record_sink = [&writer](const InstanceRecord& record) {
+      writer.append_row(encode_survey_record(record));
+    };
+    run_survey(model, options);
+  }
+  const std::string merged_rio = path("merged.rio");
+  {
+    recordio::RecordWriter writer(merged_rio, survey_record_schema());
+    MergeOptions merge_options;
+    merge_options.survey = base_options(kInstances);
+    merge_options.survey.record_sink = [&writer](const InstanceRecord& record) {
+      writer.append_row(encode_survey_record(record));
+    };
+    merge_options.shard_dir = path("ck");
+    merge_options.shard_of = 1;
+    const SurveyResult merged = merge_shards(model, merge_options);
+    EXPECT_EQ(merged.completed + merged.failed, kInstances);
+  }
+  EXPECT_EQ(read_bytes(serial_rio), read_bytes(merged_rio));
+}
+
+TEST_F(FleetShardTest, ManifestLoaderRefusesMutatedCards) {
+  // Seeded mutation fuzz: a flipped, dropped or inserted byte either
+  // makes read_manifest throw std::runtime_error or leaves a card that is
+  // still exactly what write_manifest writes for the fields it returned.
+  SegmentManifest card{"Xeon Platinum 8259CL", 0xF1EE7ULL, 0xDA7E2022ULL};
+  card.committed = true;
+  card.count = 60;
+  card.completed = 59;
+  card.failed = 1;
+  const std::string file = path("fuzz.manifest");
+  write_manifest(file, card);
+  const std::string valid = read_bytes(file);
+  util::Rng rng(0xF022ULL);
+  int refused = 0;
+  for (int trial = 0; trial < 500; ++trial) {
+    std::string bytes = valid;
+    const std::size_t at = rng.below(bytes.size());
+    switch (rng.below(3)) {
+      case 0: bytes[at] = static_cast<char>(bytes[at] ^ (1 << rng.below(8))); break;
+      case 1: bytes.erase(at, 1); break;
+      default: bytes.insert(at, 1, static_cast<char>(rng.below(256))); break;
+    }
+    {
+      std::ofstream out(file, std::ios::binary | std::ios::trunc);
+      out << bytes;
+    }
+    try {
+      const SegmentManifest read = read_manifest(file, card);
+      write_manifest(file, read);
+      EXPECT_EQ(read_bytes(file), bytes) << "trial " << trial;
+    } catch (const std::runtime_error&) {
+      ++refused;
+    }
+  }
+  // An edit inside the model name or one digit for another still makes a
+  // well-formed card; most other edits must be refused.
+  EXPECT_GT(refused, 250);
+}
+
+TEST_F(FleetShardTest, ShardRejectsACheckpointDir) {
+  ShardOptions shard_options;
+  shard_options.survey = base_options(4);
+  shard_options.survey.checkpoint_dir = path("ck");  // the segment already is one
+  shard_options.shard_dir = path("shards");
+  EXPECT_THROW(run_shard(sim::XeonModel::k8124M, shard_options), std::invalid_argument);
 }
 
 TEST_F(FleetShardTest, ShardRejectsNonzeroFirstInstance) {

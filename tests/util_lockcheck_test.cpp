@@ -46,12 +46,12 @@ class LockcheckTest : public ::testing::Test {
 TEST_F(LockcheckTest, AscendingAcquisitionIsClean) {
   lc::note_acquire(lc::kRankPoolDeque, "deque");
   lc::note_acquire(lc::kRankPoolIdle, "idle");
-  lc::note_acquire(lc::kRankCheckpoint, "checkpoint");
+  lc::note_acquire(lc::kRankRecordSink, "record sink");
   lc::note_acquire(lc::kRankProgress, "progress");
   EXPECT_EQ(g_violations, 0);
   EXPECT_EQ(lc::top_rank(), lc::kRankProgress);
   lc::note_release(lc::kRankProgress);
-  lc::note_release(lc::kRankCheckpoint);
+  lc::note_release(lc::kRankRecordSink);
   lc::note_release(lc::kRankPoolIdle);
   EXPECT_EQ(lc::top_rank(), lc::kRankPoolDeque);
   lc::note_release(lc::kRankPoolDeque);
@@ -72,12 +72,12 @@ TEST_F(LockcheckTest, DescendingAcquisitionViolates) {
 }
 
 TEST_F(LockcheckTest, SameRankReacquisitionViolates) {
-  lc::note_acquire(lc::kRankCheckpoint, "checkpoint");
-  lc::note_acquire(lc::kRankCheckpoint, "checkpoint again");
+  lc::note_acquire(lc::kRankRecordSink, "record sink");
+  lc::note_acquire(lc::kRankRecordSink, "record sink again");
   EXPECT_EQ(g_violations, 1);
-  EXPECT_EQ(g_last_rank, lc::kRankCheckpoint);
-  EXPECT_EQ(g_last_held, lc::kRankCheckpoint);
-  lc::note_release(lc::kRankCheckpoint);
+  EXPECT_EQ(g_last_rank, lc::kRankRecordSink);
+  EXPECT_EQ(g_last_held, lc::kRankRecordSink);
+  lc::note_release(lc::kRankRecordSink);
 }
 
 TEST_F(LockcheckTest, WouldViolateMirrorsTheRule) {
@@ -85,7 +85,7 @@ TEST_F(LockcheckTest, WouldViolateMirrorsTheRule) {
   lc::note_acquire(lc::kRankPoolIdle, "idle");
   EXPECT_TRUE(lc::would_violate(lc::kRankPoolDeque));   // downward
   EXPECT_TRUE(lc::would_violate(lc::kRankPoolIdle));    // sideways
-  EXPECT_FALSE(lc::would_violate(lc::kRankCheckpoint));  // upward
+  EXPECT_FALSE(lc::would_violate(lc::kRankRecordSink));  // upward
   lc::note_release(lc::kRankPoolIdle);
 }
 
@@ -96,7 +96,7 @@ TEST_F(LockcheckTest, OutOfOrderReleaseScansTheLockset) {
   lc::note_release(lc::kRankPoolDeque);
   EXPECT_EQ(lc::top_rank(), lc::kRankProgress);
   // Acquiring below the remaining top still violates.
-  lc::note_acquire(lc::kRankCheckpoint, "checkpoint");
+  lc::note_acquire(lc::kRankRecordSink, "record sink");
   EXPECT_EQ(g_violations, 1);
   lc::note_release(lc::kRankProgress);
   EXPECT_EQ(lc::top_rank(), -1);
@@ -145,9 +145,9 @@ TEST_F(LockcheckTest, CheckedMutexReportsInversion) {
 }
 
 TEST_F(LockcheckTest, CheckedMutexFailedTryLockIsNotAnAcquisition) {
-  CheckedMutex<lc::kRankCheckpoint> mutex{"checkpoint"};
+  CheckedMutex<lc::kRankRecordSink> mutex{"record sink"};
   std::lock_guard lock(mutex);
-  EXPECT_EQ(lc::top_rank(), lc::kRankCheckpoint);
+  EXPECT_EQ(lc::top_rank(), lc::kRankRecordSink);
   std::thread prober([&mutex] {
     EXPECT_FALSE(mutex.try_lock());
     // The failed attempt must not enter *this* thread's lockset.

@@ -124,10 +124,9 @@ void rule_det_rng_default_seed(const SourceFile& file,
 
 void rule_det_unordered_iter(const SourceFile& file, std::vector<Finding>& findings) {
   const std::string rule = "det-unordered-iter";
-  static const char* kSinks[] = {"MapStore",  "Aggregator", "Checkpoint",
-                                 "TablePrinter", "add_row", "print_csv",
-                                 "serialize_map", "manifest", "RecordWriter",
-                                 "append_row"};
+  static const char* kSinks[] = {"MapStore", "Aggregator",   "TablePrinter",
+                                 "add_row",  "print_csv",    "serialize_map",
+                                 "manifest", "RecordWriter", "append_row"};
   const std::vector<std::string> idents = unordered_idents(file);
 
   auto span_has_sink = [&](const BodySpan& span) {

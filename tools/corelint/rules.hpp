@@ -14,7 +14,7 @@
 //                        seeded inside library code
 //   det-unordered-iter   no iteration over std::unordered_{map,set} in a
 //                        function that also touches a result sink
-//                        (MapStore, Aggregator, Checkpoint, TablePrinter,
+//                        (MapStore, Aggregator, RecordWriter, TablePrinter,
 //                        manifest/serialization helpers)
 //
 // Concurrency (per-file)

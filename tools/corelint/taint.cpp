@@ -51,8 +51,8 @@ std::uint64_t translate(std::uint64_t mask, const std::vector<std::uint64_t>& ar
 // ------------------------------------------------------------------- sinks
 
 const char* kSinkTypes[] = {"SurveyRecord", "InstanceRecord", "MapStore",
-                            "Checkpoint",   "Aggregator",     "TablePrinter",
-                            "ResponseLog",  "RecordWriter"};
+                            "Aggregator",   "TablePrinter",   "ResponseLog",
+                            "RecordWriter"};
 const char* kSinkCalls[] = {"add_row", "print_csv", "serialize_map", "manifest",
                             "append_manifest", "append_response", "append_row"};
 

@@ -9,7 +9,7 @@
 //
 // Sinks — anything that becomes part of a survey result:
 //   * SurveyRecord / InstanceRecord variables and their fields
-//   * MapStore / Checkpoint / Aggregator objects and their methods
+//   * MapStore / Aggregator / RecordWriter objects and their methods
 //   * the serialization helpers (add_row, print_csv, serialize_map,
 //     manifest)
 //
