@@ -20,8 +20,10 @@
 //
 //   $ ./corelocated --requests requests.txt --jobs 4 --report=json
 
+#include <charconv>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <string>
@@ -56,16 +58,33 @@ ParsedLine parse_line(const std::string& line, std::size_t line_number) {
   return parsed;
 }
 
+/// An unsigned decimal field in [min, max], or `fallback` when absent.
+/// The whole token must be digits: signs, trailing bytes and values that
+/// overflow are rejected, never truncated or wrapped.
 std::uint64_t field_u64(const ParsedLine& parsed, const std::string& key,
-                        std::uint64_t fallback, std::size_t line_number) {
+                        std::uint64_t fallback, std::size_t line_number,
+                        std::uint64_t min = 0,
+                        std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
   const auto it = parsed.fields.find(key);
   if (it == parsed.fields.end()) return fallback;
-  try {
-    return std::stoull(it->second);
-  } catch (const std::exception&) {
+  const std::string& text = it->second;
+  const char* const end = text.data() + text.size();
+  std::uint64_t value = 0;
+  const auto [stop, error] = std::from_chars(text.data(), end, value);
+  if (error != std::errc{} || stop != end || value < min || value > max) {
     throw std::invalid_argument("line " + std::to_string(line_number) + ": bad " + key +
-                                "='" + it->second + "'");
+                                "='" + text + "'");
   }
+  return value;
+}
+
+/// A count field (instances=, count=): in [1, INT_MAX].
+int field_count(const ParsedLine& parsed, const std::string& key, int fallback,
+                std::size_t line_number) {
+  return static_cast<int>(field_u64(parsed, key, static_cast<std::uint64_t>(fallback),
+                                    line_number, 1,
+                                    static_cast<std::uint64_t>(
+                                        std::numeric_limits<int>::max())));
 }
 
 sim::XeonModel field_model(const ParsedLine& parsed, std::size_t line_number) {
@@ -195,8 +214,7 @@ int main(int argc, char** argv) {
       if (parsed.endpoint == "survey") {
         serve::SurveyRequest survey;
         survey.model = model;
-        survey.instances =
-            static_cast<int>(field_u64(parsed, "instances", 10, line_number));
+        survey.instances = field_count(parsed, "instances", 10, line_number);
         survey.base_seed = field_u64(parsed, "seed", 0, line_number);
         service.submit(serve::Request{survey});
       } else if (parsed.endpoint == "mapping" || parsed.endpoint == "plan") {
@@ -216,7 +234,7 @@ int main(int argc, char** argv) {
                               parsed.fields.at("kind") == "surround"
                           ? serve::PlanKind::kSurround
                           : serve::PlanKind::kDisjointPairs;
-          plan.count = static_cast<int>(field_u64(parsed, "count", 2, line_number));
+          plan.count = field_count(parsed, "count", 2, line_number);
           service.submit(serve::Request{std::move(plan)});
         }
       } else {

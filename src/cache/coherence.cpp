@@ -2,17 +2,63 @@
 
 #include <bit>
 #include <stdexcept>
+#include <utility>
 
 namespace corelocate::cache {
 
-CoherenceEngine::CoherenceEngine(const mesh::TileGrid& grid, Topology topology,
-                                 SliceHash hash, mesh::TrafficRecorder& traffic,
-                                 SlicedLlc& llc, L2Geometry l2_geometry)
-    : grid_(grid),
-      topology_(std::move(topology)),
-      hash_(hash),
-      traffic_(traffic),
-      llc_(llc) {
+CoherenceEngine::Directory::Directory() : slots_(1024), shift_(64 - 10) {}
+
+std::size_t CoherenceEngine::Directory::home(LineAddr line) const noexcept {
+  // Fibonacci hashing: eviction-set lines share their low (set-index)
+  // bits, so the multiply must carry high bits down into the index.
+  return static_cast<std::size_t>((line * 0x9E3779B97F4A7C15ULL) >> shift_);
+}
+
+CoherenceEngine::DirEntry& CoherenceEngine::Directory::operator[](LineAddr line) {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home(line);; i = (i + 1) & mask) {
+    Slot& slot = slots_[i];
+    if (slot.entry.owner == kFree) {
+      if (2 * (size_ + 1) > slots_.size()) {
+        grow();
+        return (*this)[line];
+      }
+      ++size_;
+      slot.line = line;
+      slot.entry = DirEntry{};
+      return slot.entry;
+    }
+    if (slot.line == line) return slot.entry;
+  }
+}
+
+const CoherenceEngine::DirEntry* CoherenceEngine::Directory::find(
+    LineAddr line) const noexcept {
+  const std::size_t mask = slots_.size() - 1;
+  for (std::size_t i = home(line);; i = (i + 1) & mask) {
+    const Slot& slot = slots_[i];
+    if (slot.entry.owner == kFree) return nullptr;
+    if (slot.line == line) return &slot.entry;
+  }
+}
+
+void CoherenceEngine::Directory::grow() {
+  const std::vector<Slot> old =
+      std::exchange(slots_, std::vector<Slot>(slots_.size() * 2));
+  --shift_;
+  const std::size_t mask = slots_.size() - 1;
+  for (const Slot& slot : old) {
+    if (slot.entry.owner == kFree) continue;
+    std::size_t i = home(slot.line);
+    while (slots_[i].entry.owner != kFree) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+}
+
+CoherenceEngine::CoherenceEngine(Topology topology, SliceHash hash,
+                                 mesh::TrafficRecorder& traffic, SlicedLlc& llc,
+                                 L2Geometry l2_geometry)
+    : topology_(std::move(topology)), hash_(hash), traffic_(traffic), llc_(llc) {
   if (topology_.core_tiles.empty()) throw std::invalid_argument("CoherenceEngine: no cores");
   if (static_cast<int>(topology_.cha_tiles.size()) != hash_.slice_count()) {
     throw std::invalid_argument("CoherenceEngine: CHA count != slice count");
@@ -24,13 +70,13 @@ CoherenceEngine::CoherenceEngine(const mesh::TileGrid& grid, Topology topology,
 }
 
 bool CoherenceEngine::owned_by(int core, LineAddr line) const {
-  const auto it = directory_.find(line);
-  return it != directory_.end() && it->second.owner == core;
+  const DirEntry* entry = directory_.find(line);
+  return entry != nullptr && entry->owner == core;
 }
 
 void CoherenceEngine::send_data(const mesh::Coord& from, const mesh::Coord& to) {
   if (from == to) return;  // same tile: no mesh hops
-  traffic_.inject(mesh::route_yx(grid_, from, to), kCyclesPerTransfer);
+  traffic_.inject_yx(from, to, kCyclesPerTransfer);
 }
 
 mesh::Coord CoherenceEngine::imc_for(LineAddr line) const {
@@ -58,6 +104,8 @@ void CoherenceEngine::writeback_to_llc(int core, LineAddr line) {
 void CoherenceEngine::fill_l2(int core, LineAddr line, bool dirty) {
   const auto victim = l2s_[static_cast<std::size_t>(core)].insert(line, dirty);
   if (!victim.has_value()) return;
+  // Callers finish with their own entry before calling here: this lookup
+  // may grow the directory, which moves every entry.
   auto& entry = directory_[victim->line];
   if (victim->dirty) {
     writeback_to_llc(core, victim->line);

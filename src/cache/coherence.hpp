@@ -17,7 +17,6 @@
 // makes coincide with the sink by choosing a sink-homed line).
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "cache/l2.hpp"
@@ -42,9 +41,9 @@ struct Topology {
 
 class CoherenceEngine {
  public:
-  CoherenceEngine(const mesh::TileGrid& grid, Topology topology, SliceHash hash,
-                  mesh::TrafficRecorder& traffic, SlicedLlc& llc,
-                  L2Geometry l2_geometry = {});
+  /// Data transfers are routed YX on the recorder's grid.
+  CoherenceEngine(Topology topology, SliceHash hash, mesh::TrafficRecorder& traffic,
+                  SlicedLlc& llc, L2Geometry l2_geometry = {});
 
   int core_count() const noexcept { return static_cast<int>(topology_.core_tiles.size()); }
   int cha_count() const noexcept { return static_cast<int>(topology_.cha_tiles.size()); }
@@ -68,19 +67,47 @@ class CoherenceEngine {
     std::uint64_t sharers = 0;  ///< bitmask of cores with a Shared copy
   };
 
+  /// Flat line -> DirEntry table: open addressing with linear probing,
+  /// capacity a power of two kept at most half full. Entries are never
+  /// erased (a line keeps its entry once seen), so probing needs no
+  /// tombstones. Growth moves every entry: a DirEntry& stays valid only
+  /// until the next operator[] call.
+  class Directory {
+   public:
+    Directory();
+    /// The line's entry, default-constructed on first use.
+    DirEntry& operator[](LineAddr line);
+    /// The line's entry, or nullptr if the line was never looked up.
+    const DirEntry* find(LineAddr line) const noexcept;
+
+   private:
+    /// An unused slot holds owner == kFree, a value no entry ever takes.
+    static constexpr int kFree = -2;
+    struct Slot {
+      LineAddr line = 0;
+      DirEntry entry{kFree, 0};
+    };
+
+    std::size_t home(LineAddr line) const noexcept;
+    void grow();
+
+    std::vector<Slot> slots_;
+    int shift_;  ///< 64 - log2(capacity)
+    std::size_t size_ = 0;
+  };
+
   void send_data(const mesh::Coord& from, const mesh::Coord& to);
   void fill_l2(int core, LineAddr line, bool dirty);
   void writeback_to_llc(int core, LineAddr line);
   void invalidate_sharers(LineAddr line, DirEntry& entry, int except_core);
   mesh::Coord imc_for(LineAddr line) const;
 
-  const mesh::TileGrid& grid_;
   Topology topology_;
   SliceHash hash_;
   mesh::TrafficRecorder& traffic_;
   SlicedLlc& llc_;
   std::vector<L2Cache> l2s_;
-  std::unordered_map<LineAddr, DirEntry> directory_;
+  Directory directory_;
 };
 
 }  // namespace corelocate::cache

@@ -1,95 +1,47 @@
 #include "cache/l2.hpp"
 
-#include <stdexcept>
-
 namespace corelocate::cache {
 
-L2Cache::L2Cache(L2Geometry geometry) : geometry_(geometry) {
-  if (geometry_.sets <= 0 || geometry_.ways <= 0) {
-    throw std::invalid_argument("L2Cache: non-positive geometry");
-  }
-  if ((geometry_.sets & (geometry_.sets - 1)) != 0) {
-    throw std::invalid_argument("L2Cache: set count must be a power of two");
-  }
-  ways_.assign(static_cast<std::size_t>(geometry_.sets) *
-                   static_cast<std::size_t>(geometry_.ways),
-               Way{});
-}
+L2Cache::L2Cache(L2Geometry geometry)
+    : geometry_(geometry), tags_(geometry.sets, geometry.ways, "L2Cache") {}
 
 int L2Cache::set_of(LineAddr line) const noexcept {
   return static_cast<int>(line & static_cast<LineAddr>(geometry_.sets - 1));
 }
 
-L2Cache::Way* L2Cache::find(LineAddr line) noexcept {
-  const int set = set_of(line);
-  Way* base = &ways_[static_cast<std::size_t>(set) * static_cast<std::size_t>(geometry_.ways)];
-  for (int w = 0; w < geometry_.ways; ++w) {
-    if (base[w].valid && base[w].line == line) return &base[w];
-  }
-  return nullptr;
-}
-
-const L2Cache::Way* L2Cache::find(LineAddr line) const noexcept {
-  return const_cast<L2Cache*>(this)->find(line);
-}
-
-bool L2Cache::contains(LineAddr line) const noexcept { return find(line) != nullptr; }
+bool L2Cache::contains(LineAddr line) const noexcept { return find(line) >= 0; }
 
 bool L2Cache::is_dirty(LineAddr line) const noexcept {
-  const Way* way = find(line);
-  return way != nullptr && way->dirty;
+  const int way = find(line);
+  return way >= 0 && tags_.flag(way) != 0;
 }
 
 void L2Cache::touch(LineAddr line) noexcept {
-  Way* way = find(line);
-  if (way != nullptr) way->lru = ++clock_;
+  const int way = find(line);
+  if (way >= 0) tags_.touch(way);
 }
 
 void L2Cache::set_dirty(LineAddr line, bool dirty) noexcept {
-  Way* way = find(line);
-  if (way != nullptr) way->dirty = dirty;
+  const int way = find(line);
+  if (way >= 0) tags_.flag(way) = dirty ? 1 : 0;
 }
 
 std::optional<L2Cache::Victim> L2Cache::insert(LineAddr line, bool dirty) {
-  if (Way* hit = find(line); hit != nullptr) {
-    hit->lru = ++clock_;
-    hit->dirty = hit->dirty || dirty;
+  const LruSets::Fill fill = tags_.insert(set_of(line), line);
+  if (fill.hit) {
+    tags_.flag(fill.way) |= dirty ? 1 : 0;
     return std::nullopt;
   }
-  const int set = set_of(line);
-  Way* base = &ways_[static_cast<std::size_t>(set) * static_cast<std::size_t>(geometry_.ways)];
-  Way* slot = nullptr;
-  for (int w = 0; w < geometry_.ways; ++w) {
-    if (!base[w].valid) {
-      slot = &base[w];
-      break;
-    }
-  }
-  std::optional<Victim> victim;
-  if (slot == nullptr) {
-    // Evict true-LRU.
-    slot = base;
-    for (int w = 1; w < geometry_.ways; ++w) {
-      if (base[w].lru < slot->lru) slot = &base[w];
-    }
-    victim = Victim{slot->line, slot->dirty};
-    --occupancy_;
-  }
-  slot->line = line;
-  slot->valid = true;
-  slot->dirty = dirty;
-  slot->lru = ++clock_;
-  ++occupancy_;
-  return victim;
+  tags_.flag(fill.way) = dirty ? 1 : 0;
+  if (!fill.evicted) return std::nullopt;
+  return Victim{fill.victim, fill.victim_flag != 0};
 }
 
 std::optional<bool> L2Cache::invalidate(LineAddr line) noexcept {
-  Way* way = find(line);
-  if (way == nullptr) return std::nullopt;
-  way->valid = false;
-  const bool dirty = way->dirty;
-  way->dirty = false;
-  --occupancy_;
+  const int way = find(line);
+  if (way < 0) return std::nullopt;
+  const bool dirty = tags_.flag(way) != 0;
+  tags_.erase(way);
   return dirty;
 }
 

@@ -9,8 +9,8 @@
 
 #include <cstdint>
 #include <optional>
-#include <vector>
 
+#include "cache/lru_sets.hpp"
 #include "cache/slice_hash.hpp"
 
 namespace corelocate::cache {
@@ -54,23 +54,13 @@ class L2Cache {
   std::optional<bool> invalidate(LineAddr line) noexcept;
 
   /// Number of resident lines.
-  std::size_t occupancy() const noexcept { return occupancy_; }
+  std::size_t occupancy() const noexcept { return tags_.occupancy(); }
 
  private:
-  struct Way {
-    LineAddr line = 0;
-    bool valid = false;
-    bool dirty = false;
-    std::uint64_t lru = 0;  // larger = more recent
-  };
-
-  Way* find(LineAddr line) noexcept;
-  const Way* find(LineAddr line) const noexcept;
+  int find(LineAddr line) const noexcept { return tags_.find(set_of(line), line); }
 
   L2Geometry geometry_;
-  std::vector<Way> ways_;  // sets * ways, row-major by set
-  std::uint64_t clock_ = 0;
-  std::size_t occupancy_ = 0;
+  LruSets tags_;  // flag byte = dirty bit
 };
 
 }  // namespace corelocate::cache

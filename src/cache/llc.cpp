@@ -4,17 +4,8 @@
 
 namespace corelocate::cache {
 
-LlcSlice::LlcSlice(LlcGeometry geometry) : geometry_(geometry) {
-  if (geometry_.sets <= 0 || geometry_.ways <= 0) {
-    throw std::invalid_argument("LlcSlice: non-positive geometry");
-  }
-  if ((geometry_.sets & (geometry_.sets - 1)) != 0) {
-    throw std::invalid_argument("LlcSlice: set count must be a power of two");
-  }
-  ways_.assign(static_cast<std::size_t>(geometry_.sets) *
-                   static_cast<std::size_t>(geometry_.ways),
-               Way{});
-}
+LlcSlice::LlcSlice(LlcGeometry geometry)
+    : geometry_(geometry), tags_(geometry.sets, geometry.ways, "LlcSlice") {}
 
 int LlcSlice::set_of(LineAddr line) const noexcept {
   // Slices index with line-address bits above the L2's (keeps the slice
@@ -22,61 +13,23 @@ int LlcSlice::set_of(LineAddr line) const noexcept {
   return static_cast<int>((line >> 2) & static_cast<LineAddr>(geometry_.sets - 1));
 }
 
-LlcSlice::Way* LlcSlice::find(LineAddr line) noexcept {
-  const int set = set_of(line);
-  Way* base = &ways_[static_cast<std::size_t>(set) * static_cast<std::size_t>(geometry_.ways)];
-  for (int w = 0; w < geometry_.ways; ++w) {
-    if (base[w].valid && base[w].line == line) return &base[w];
-  }
-  return nullptr;
-}
-
-const LlcSlice::Way* LlcSlice::find(LineAddr line) const noexcept {
-  return const_cast<LlcSlice*>(this)->find(line);
-}
-
-bool LlcSlice::contains(LineAddr line) const noexcept { return find(line) != nullptr; }
+bool LlcSlice::contains(LineAddr line) const noexcept { return find(line) >= 0; }
 
 void LlcSlice::touch(LineAddr line) noexcept {
-  Way* way = find(line);
-  if (way != nullptr) way->lru = ++clock_;
+  const int way = find(line);
+  if (way >= 0) tags_.touch(way);
 }
 
 std::optional<LineAddr> LlcSlice::insert(LineAddr line) {
-  if (Way* hit = find(line); hit != nullptr) {
-    hit->lru = ++clock_;
-    return std::nullopt;
-  }
-  const int set = set_of(line);
-  Way* base = &ways_[static_cast<std::size_t>(set) * static_cast<std::size_t>(geometry_.ways)];
-  Way* slot = nullptr;
-  for (int w = 0; w < geometry_.ways; ++w) {
-    if (!base[w].valid) {
-      slot = &base[w];
-      break;
-    }
-  }
-  std::optional<LineAddr> victim;
-  if (slot == nullptr) {
-    slot = base;
-    for (int w = 1; w < geometry_.ways; ++w) {
-      if (base[w].lru < slot->lru) slot = &base[w];
-    }
-    victim = slot->line;
-    --occupancy_;
-  }
-  slot->line = line;
-  slot->valid = true;
-  slot->lru = ++clock_;
-  ++occupancy_;
-  return victim;
+  const LruSets::Fill fill = tags_.insert(set_of(line), line);
+  if (!fill.evicted) return std::nullopt;
+  return fill.victim;
 }
 
 bool LlcSlice::remove(LineAddr line) noexcept {
-  Way* way = find(line);
-  if (way == nullptr) return false;
-  way->valid = false;
-  --occupancy_;
+  const int way = find(line);
+  if (way < 0) return false;
+  tags_.erase(way);
   return true;
 }
 

@@ -11,6 +11,7 @@
 #include <optional>
 #include <vector>
 
+#include "cache/lru_sets.hpp"
 #include "cache/slice_hash.hpp"
 
 namespace corelocate::cache {
@@ -34,23 +35,14 @@ class LlcSlice {
   /// Removes a line if present; returns whether it was there.
   bool remove(LineAddr line) noexcept;
 
-  std::size_t occupancy() const noexcept { return occupancy_; }
+  std::size_t occupancy() const noexcept { return tags_.occupancy(); }
 
  private:
-  struct Way {
-    LineAddr line = 0;
-    bool valid = false;
-    std::uint64_t lru = 0;
-  };
-
   int set_of(LineAddr line) const noexcept;
-  Way* find(LineAddr line) noexcept;
-  const Way* find(LineAddr line) const noexcept;
+  int find(LineAddr line) const noexcept { return tags_.find(set_of(line), line); }
 
   LlcGeometry geometry_;
-  std::vector<Way> ways_;
-  std::uint64_t clock_ = 0;
-  std::size_t occupancy_ = 0;
+  LruSets tags_;
 };
 
 /// All slices of a socket plus the per-CHA lookup tallies.

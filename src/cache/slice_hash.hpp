@@ -31,9 +31,13 @@ class SliceHash {
 
  private:
   static constexpr int kDigestBits = 12;
+  static constexpr int kAddressBytes = 5;  ///< the masks cover bits [0, 40)
 
   int slice_count_;
-  std::uint64_t masks_[kDigestBits];
+  /// The digest is GF(2)-linear in the address bits, so it is the XOR of
+  /// one digest per address byte: digest_of_byte_[k][v] is the digest of
+  /// a line whose only non-zero byte is byte k, equal to v.
+  std::uint16_t digest_of_byte_[kAddressBytes][256];
 };
 
 }  // namespace corelocate::cache

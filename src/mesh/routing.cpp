@@ -24,18 +24,6 @@ const char* to_string(ChannelLabel label) {
   return "?";
 }
 
-ChannelLabel ingress_label(Direction direction, const Coord& receiver) noexcept {
-  switch (direction) {
-    case Direction::kUp: return ChannelLabel::kUp;
-    case Direction::kDown: return ChannelLabel::kDown;
-    case Direction::kEast:
-      return (receiver.col % 2 == 0) ? ChannelLabel::kRight : ChannelLabel::kLeft;
-    case Direction::kWest:
-      return (receiver.col % 2 == 0) ? ChannelLabel::kLeft : ChannelLabel::kRight;
-  }
-  return ChannelLabel::kUp;
-}
-
 Route route_yx(const TileGrid& grid, const Coord& source, const Coord& sink) {
   if (!grid.in_bounds(source) || !grid.in_bounds(sink)) {
     throw std::out_of_range("route_yx: endpoint out of bounds");
@@ -47,19 +35,7 @@ Route route_yx(const TileGrid& grid, const Coord& source, const Coord& sink) {
   route.hops.reserve(static_cast<std::size_t>(std::abs(sink.row - source.row)) +
                      static_cast<std::size_t>(std::abs(sink.col - source.col)));
 
-  // Vertical leg along the source column. "Up" means towards row 0.
-  Coord cursor = source;
-  while (cursor.row != sink.row) {
-    const bool up = sink.row < cursor.row;
-    cursor.row += up ? -1 : 1;
-    route.hops.push_back(Hop{cursor, up ? Direction::kUp : Direction::kDown});
-  }
-  // Horizontal leg along the sink row. "East" means increasing column.
-  while (cursor.col != sink.col) {
-    const bool east = sink.col > cursor.col;
-    cursor.col += east ? 1 : -1;
-    route.hops.push_back(Hop{cursor, east ? Direction::kEast : Direction::kWest});
-  }
+  for_each_yx_hop(source, sink, [&](const Hop& hop) { route.hops.push_back(hop); });
   return route;
 }
 

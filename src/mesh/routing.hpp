@@ -39,7 +39,18 @@ constexpr bool is_horizontal(ChannelLabel label) noexcept { return !is_vertical(
 /// Vertical hops keep their direction. Horizontal hops alternate with the
 /// receiving column's parity: an eastbound packet shows up as Right in
 /// even columns and Left in odd columns; westbound is the mirror image.
-ChannelLabel ingress_label(Direction direction, const Coord& receiver) noexcept;
+constexpr ChannelLabel ingress_label(Direction direction,
+                                     const Coord& receiver) noexcept {
+  switch (direction) {
+    case Direction::kUp: return ChannelLabel::kUp;
+    case Direction::kDown: return ChannelLabel::kDown;
+    case Direction::kEast:
+      return (receiver.col % 2 == 0) ? ChannelLabel::kRight : ChannelLabel::kLeft;
+    case Direction::kWest:
+      return (receiver.col % 2 == 0) ? ChannelLabel::kLeft : ChannelLabel::kRight;
+  }
+  return ChannelLabel::kUp;
+}
 
 /// One hop of a route: the receiving tile and the physical direction the
 /// packet was travelling when it arrived there.
@@ -60,6 +71,26 @@ struct Route {
   bool empty() const noexcept { return hops.empty(); }
   int length() const noexcept { return static_cast<int>(hops.size()); }
 };
+
+/// Calls `visit(hop)` for every hop of the dimension-order route from
+/// `source` to `sink`, in travel order: the one definition of YX routing,
+/// which route_yx collects and TrafficRecorder::inject_yx charges
+/// directly. Does not bounds-check.
+template <typename Visit>
+void for_each_yx_hop(Coord source, const Coord& sink, Visit&& visit) {
+  // Vertical leg along the source column. "Up" means towards row 0.
+  while (source.row != sink.row) {
+    const bool up = sink.row < source.row;
+    source.row += up ? -1 : 1;
+    visit(Hop{source, up ? Direction::kUp : Direction::kDown});
+  }
+  // Horizontal leg along the sink row. "East" means increasing column.
+  while (source.col != sink.col) {
+    const bool east = sink.col > source.col;
+    source.col += east ? 1 : -1;
+    visit(Hop{source, east ? Direction::kEast : Direction::kWest});
+  }
+}
 
 /// Computes the dimension-order route from `source` to `sink`.
 /// Both coordinates must be in bounds; source == sink yields an empty route.

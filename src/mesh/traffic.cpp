@@ -12,19 +12,26 @@ TrafficRecorder::TrafficRecorder(const TileGrid& grid)
 }
 
 std::size_t TrafficRecorder::slot(const Coord& tile, ChannelLabel label) const {
-  if (tile.row < 0 || tile.row >= rows_ || tile.col < 0 || tile.col >= cols_) {
+  if (!in_bounds(tile)) {
     throw std::out_of_range("TrafficRecorder: coord out of bounds " + to_string(tile));
   }
-  const std::size_t tile_index =
-      static_cast<std::size_t>(tile.row) * static_cast<std::size_t>(cols_) +
-      static_cast<std::size_t>(tile.col);
-  return tile_index * kChannelCount + static_cast<std::size_t>(channel_index(label));
+  return index(tile, label);
 }
 
 void TrafficRecorder::inject(const Route& route, std::uint64_t cycles) {
   for (const Hop& hop : route.hops) {
     counters_[slot(hop.receiver, ingress_label(hop.direction, hop.receiver))] += cycles;
   }
+}
+
+void TrafficRecorder::inject_yx(const Coord& source, const Coord& sink,
+                                std::uint64_t cycles) {
+  if (!in_bounds(source) || !in_bounds(sink)) {
+    throw std::out_of_range("TrafficRecorder::inject_yx: endpoint out of bounds");
+  }
+  for_each_yx_hop(source, sink, [&](const Hop& hop) {
+    counters_[index(hop.receiver, ingress_label(hop.direction, hop.receiver))] += cycles;
+  });
 }
 
 void TrafficRecorder::inject_event(const IngressEvent& event, std::uint64_t cycles) {

@@ -30,6 +30,12 @@ class TrafficRecorder {
   /// Charges `cycles` of ring occupancy to every ingress event of `route`.
   void inject(const Route& route, std::uint64_t cycles);
 
+  /// Charges `cycles` to every ingress event of the YX route from `source`
+  /// to `sink`, exactly as inject(route_yx(grid, source, sink), cycles)
+  /// would, without materializing the route. Throws std::out_of_range if
+  /// either endpoint lies outside the grid.
+  void inject_yx(const Coord& source, const Coord& sink, std::uint64_t cycles);
+
   /// Charges a single ingress event (used for background-noise injection).
   void inject_event(const IngressEvent& event, std::uint64_t cycles);
 
@@ -48,7 +54,17 @@ class TrafficRecorder {
   int cols() const noexcept { return cols_; }
 
  private:
+  /// Bounds-checked index(); throws std::out_of_range.
   std::size_t slot(const Coord& tile, ChannelLabel label) const;
+  std::size_t index(const Coord& tile, ChannelLabel label) const noexcept {
+    const std::size_t tile_index =
+        static_cast<std::size_t>(tile.row) * static_cast<std::size_t>(cols_) +
+        static_cast<std::size_t>(tile.col);
+    return tile_index * kChannelCount + static_cast<std::size_t>(channel_index(label));
+  }
+  bool in_bounds(const Coord& tile) const noexcept {
+    return tile.row >= 0 && tile.row < rows_ && tile.col >= 0 && tile.col < cols_;
+  }
 
   int rows_;
   int cols_;

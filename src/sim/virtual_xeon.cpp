@@ -24,13 +24,18 @@ VirtualXeon::VirtualXeon(InstanceConfig config, NoiseProfile noise,
     : config_(std::move(config)),
       traffic_(config_.grid),
       llc_(config_.cha_count()),
-      engine_(config_.grid, topology_of(config_), cache::SliceHash(config_.cha_count(),
-                                                                   config_.slice_hash_key),
-              traffic_, llc_),
+      engine_(topology_of(config_),
+              cache::SliceHash(config_.cha_count(), config_.slice_hash_key), traffic_,
+              llc_),
       ppin_(config_.ppin),
       pmon_(config_.cha_count(), *this),
       noise_(noise),
       noise_rng_(noise_seed ^ config_.ppin) {
+  // Background packets move between random live endpoints (CHA or IMC
+  // tiles) the way co-tenant memory traffic would.
+  noise_endpoints_ = config_.cha_tiles;
+  noise_endpoints_.insert(noise_endpoints_.end(), config_.imc_tiles.begin(),
+                          config_.imc_tiles.end());
   // Wire the register file: PPIN pair + the CHA PMON block.
   msr_.add_range({msr::kMsrPpinCtl, msr::kMsrPpin + 1, this,
                   [](void* self, std::uint32_t addr) {
@@ -77,17 +82,14 @@ void VirtualXeon::maybe_inject_noise() {
 }
 
 void VirtualXeon::background_traffic(int packets) {
-  // Background packets move between random live endpoints (CHA or IMC
-  // tiles) the way co-tenant memory traffic would.
-  std::vector<mesh::Coord> endpoints = config_.cha_tiles;
-  endpoints.insert(endpoints.end(), config_.imc_tiles.begin(), config_.imc_tiles.end());
-  if (endpoints.size() < 2) return;
+  const std::size_t n = noise_endpoints_.size();
+  if (n < 2) return;
   for (int i = 0; i < packets; ++i) {
-    const auto a = noise_rng_.below(endpoints.size());
-    auto b = noise_rng_.below(endpoints.size());
-    if (a == b) b = (b + 1) % endpoints.size();
-    traffic_.inject(mesh::route_yx(config_.grid, endpoints[a], endpoints[b]),
-                    cache::kCyclesPerTransfer);
+    const auto a = noise_rng_.below(n);
+    auto b = noise_rng_.below(n);
+    if (a == b) b = (b + 1) % n;
+    traffic_.inject_yx(noise_endpoints_[a], noise_endpoints_[b],
+                       cache::kCyclesPerTransfer);
   }
 }
 

@@ -83,6 +83,8 @@ class VirtualXeon final : public msr::PmonBackend {
   msr::ChaPmonUnit pmon_;
   msr::CompositeMsrDevice msr_;
   NoiseProfile noise_;
+  /// CHA tiles then IMC tiles: where background packets start and end.
+  std::vector<mesh::Coord> noise_endpoints_;
   mutable util::Rng noise_rng_;
 };
 

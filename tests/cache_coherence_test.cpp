@@ -14,7 +14,7 @@ class CoherenceTest : public ::testing::Test {
         traffic_(grid_),
         llc_(3),
         hash_(3, 0xFEED),
-        engine_(grid_, make_topology(), hash_, traffic_, llc_, L2Geometry{4, 2}) {}
+        engine_(make_topology(), hash_, traffic_, llc_, L2Geometry{4, 2}) {}
 
   static mesh::TileGrid make_grid() {
     mesh::TileGrid grid(2, 3);
@@ -55,7 +55,7 @@ TEST_F(CoherenceTest, ConstructionValidation) {
   Topology bad = make_topology();
   bad.cha_tiles.pop_back();  // count mismatch with hash
   EXPECT_THROW(
-      CoherenceEngine(grid_, bad, hash_, traffic_, llc_, L2Geometry{4, 2}),
+      CoherenceEngine(bad, hash_, traffic_, llc_, L2Geometry{4, 2}),
       std::invalid_argument);
 }
 

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <vector>
 
 #include "util/rng.hpp"
@@ -81,6 +82,41 @@ TEST(SliceHash, IndependentOfLowL2SetBits) {
   int nonzero = 0;
   for (int c : seen) nonzero += c > 0 ? 1 : 0;
   EXPECT_EQ(nonzero, 26);
+}
+
+/// The hash's defining bit loop: twelve keyed masks over address bits
+/// [0, 40), digest bit b = parity(line & mask_b), reduced mod the slice
+/// count. The table-driven SliceHash must agree with it on every line.
+int reference_slice_of(LineAddr line, int slice_count, std::uint64_t key) {
+  std::uint64_t sm = key ^ 0xC0FFEE5ABCD12345ULL;
+  std::uint32_t digest = 0;
+  for (int b = 0; b < 12; ++b) {
+    std::uint64_t mask = util::splitmix64(sm) & ((1ULL << 40) - 1);
+    if (mask == 0) mask = 1;
+    digest |= static_cast<std::uint32_t>(std::popcount(line & mask) & 1) << b;
+  }
+  return static_cast<int>(digest % static_cast<std::uint32_t>(slice_count));
+}
+
+TEST(SliceHash, TableMatchesPopcountReference) {
+  util::Rng rng(0x51CE);
+  const std::uint64_t keys[] = {0, 1, 0xFEED, 0xABCDEF, 0x0123456789ABCDEFULL, ~0ULL};
+  for (const std::uint64_t key : keys) {
+    std::vector<SliceHash> hashes;
+    for (int slices = 1; slices <= 64; ++slices) hashes.emplace_back(slices, key);
+    for (int i = 0; i < 100000; ++i) {
+      // Full 64-bit lines (bits >= 40 must be ignored by both), plus
+      // single-bit and single-byte lines so every bit position and every
+      // table entry is exercised on its own.
+      LineAddr line = rng();
+      if (i % 4 == 1) line = 1ULL << (i % 64);
+      if (i % 4 == 2) line = (line & 0xFF) << (8 * (i % 8));
+      const int slices = 1 + i % 64;
+      ASSERT_EQ(hashes[static_cast<std::size_t>(slices - 1)].slice_of(line),
+                reference_slice_of(line, slices, key))
+          << "key " << key << " slices " << slices << " line " << line;
+    }
+  }
 }
 
 }  // namespace
