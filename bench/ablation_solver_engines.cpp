@@ -13,8 +13,7 @@
 // why the original authors reached for a commercial ILP solver.
 
 #include "bench_common.hpp"
-#include "core/decomposed_map_solver.hpp"
-#include "core/ilp_map_solver.hpp"
+#include "core/map_solver.hpp"
 #include "ilp/solution_cache.hpp"
 
 namespace {
@@ -98,13 +97,10 @@ int main(int argc, char** argv) {
       {"engine", "observations", "time", "search nodes", "core tiles correct"});
 
   {
-    core::DecomposedSolverOptions options;
-    options.grid_rows = config.grid.rows();
-    options.grid_cols = config.grid.cols();
-    options.solution_cache = cache_ptr;
+    const core::MapSolver solver(core::SolverEngine::kDecomposed, config.grid.rows(),
+                                 config.grid.cols());
     const EngineResult r = timed(
-        "decomposed",
-        [&] { return core::DecomposedMapSolver(options).solve(obs, config.cha_count()); },
+        "decomposed", [&] { return solver.solve(obs, config.cha_count(), cache_ptr); },
         config);
     table.add_row({"decomposed", std::to_string(obs.size()),
                    util::fmt(r.seconds * 1000, 1) + " ms", std::to_string(r.nodes),
@@ -115,16 +111,14 @@ int main(int argc, char** argv) {
   }
   {
     core::IlpMapSolverOptions options;
-    options.grid_rows = config.grid.rows();
-    options.grid_cols = config.grid.cols();
     options.objective = core::IlpObjective::kCompactSum;
     options.max_observations = 40;
     options.milp.presolve = use_presolve;
     options.warm_start = use_warm_start;
-    options.solution_cache = cache_ptr;
+    const core::MapSolver solver(core::SolverEngine::kIlp, config.grid.rows(),
+                                 config.grid.cols(), options);
     const EngineResult r = timed(
-        "ilp_compact",
-        [&] { return core::IlpMapSolver(options).solve(obs, config.cha_count()); },
+        "ilp_compact", [&] { return solver.solve(obs, config.cha_count(), cache_ptr); },
         config);
     table.add_row({"ILP / compact sum", "40", util::fmt(r.seconds, 2) + " s",
                    std::to_string(r.nodes),
@@ -135,16 +129,14 @@ int main(int argc, char** argv) {
   }
   if (!skip_paper) {
     core::IlpMapSolverOptions options;
-    options.grid_rows = config.grid.rows();
-    options.grid_cols = config.grid.cols();
     options.objective = core::IlpObjective::kPaperIndicators;
     options.max_observations = 40;
     options.milp.presolve = use_presolve;
     options.warm_start = use_warm_start;
-    options.solution_cache = cache_ptr;
+    const core::MapSolver solver(core::SolverEngine::kIlp, config.grid.rows(),
+                                 config.grid.cols(), options);
     const EngineResult r = timed(
-        "ilp_paper",
-        [&] { return core::IlpMapSolver(options).solve(obs, config.cha_count()); },
+        "ilp_paper", [&] { return solver.solve(obs, config.cha_count(), cache_ptr); },
         config);
     table.add_row({"ILP / paper indicators", "40", util::fmt(r.seconds, 2) + " s",
                    std::to_string(r.nodes),

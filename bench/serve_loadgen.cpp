@@ -40,7 +40,7 @@ int main(int argc, char** argv) {
       .add("permute-fraction", "F",
            "fraction of requests with re-permuted observations (default 0.0625)")
       .add("engine", "NAME",
-           "solver engine: decomposed, ilp or refined (default refined)")
+           "solver engine: " + core::engine_tokens() + " (default refined)")
       .add("solution-cache", "0|1",
            "probe/fill the solver solution cache around batch dispatch "
            "(responses stay byte-identical either way; default 0)")
@@ -75,9 +75,9 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(flags.get_int("cache-shards", 8));
   service_options.solution_cache = flags.get_bool("solution-cache", false);
   const std::string engine_name = flags.get("engine", "refined");
-  if (!serve::parse_engine_token(engine_name, service_options.engine)) {
+  if (!core::parse_engine_token(engine_name, service_options.engine)) {
     std::cerr << "unknown --engine '" << engine_name
-              << "' (expected decomposed, ilp or refined)\n";
+              << "' (expected " << core::engine_tokens() << ")\n";
     return 2;
   }
   std::ofstream log_file;
@@ -95,7 +95,7 @@ int main(int argc, char** argv) {
             << load.skus.size() << " SKUs\n"
             << "replaying " << load.requests << " requests (jobs="
             << service_options.jobs << ", batch-max=" << service_options.batch_max
-            << ", engine=" << serve::engine_token(service_options.engine)
+            << ", engine=" << core::engine_token(service_options.engine)
             << ", cache=" << service_options.cache_capacity << "x"
             << service_options.cache_shards << " shards)...\n";
 
@@ -149,7 +149,7 @@ int main(int argc, char** argv) {
             << "cold p99:         " << cold_p99 * 1e3 << " ms ("
             << static_cast<std::uint64_t>(p99_ratio) << "x cached)\n";
 
-  reporter.report().set_arg("engine", serve::engine_token(service_options.engine));
+  reporter.report().set_arg("engine", core::engine_token(service_options.engine));
   reporter.report().set_arg("response_log_fnv1a",
                             serve::hex16(service.response_log().checksum()));
 

@@ -19,25 +19,21 @@
 
 #include "core/map_store.hpp"
 #include "core/pipeline.hpp"
+#include "serve/loadgen.hpp"
 #include "util/cli.hpp"
 
 using namespace corelocate;
 
 namespace {
 
-sim::XeonModel parse_model(const std::string& name) {
-  if (name == "8124M") return sim::XeonModel::k8124M;
-  if (name == "8175M") return sim::XeonModel::k8175M;
-  if (name == "8259CL") return sim::XeonModel::k8259CL;
-  if (name == "6354") return sim::XeonModel::k6354;
-  throw std::invalid_argument("unknown model: " + name);
-}
-
-core::SolverEngine parse_engine(const std::string& name) {
-  if (name == "decomposed") return core::SolverEngine::kDecomposed;
-  if (name == "ilp") return core::SolverEngine::kIlp;
-  if (name == "refined") return core::SolverEngine::kRefined;
-  throw std::invalid_argument("unknown engine: " + name);
+/// The --model flag as a SKU; throws on an unknown token.
+sim::XeonModel model_flag(const util::CliFlags& flags) {
+  const std::string name = flags.get("model", "8259CL");
+  sim::XeonModel model{};
+  if (!serve::parse_model_token(name, model)) {
+    throw std::invalid_argument("unknown model: " + name);
+  }
+  return model;
 }
 
 core::MapStore load_db(const std::string& path) {
@@ -50,9 +46,13 @@ core::MapStore load_db(const std::string& path) {
 
 int cmd_map(const util::CliFlags& flags) {
   const std::string db = flags.get("db", "corelocate-maps.db");
-  const sim::XeonModel model = parse_model(flags.get("model", "8259CL"));
+  const sim::XeonModel model = model_flag(flags);
   const std::uint64_t seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
-  const core::SolverEngine engine = parse_engine(flags.get("engine", "refined"));
+  const std::string engine_name = flags.get("engine", "refined");
+  core::SolverEngine engine{};
+  if (!core::parse_engine_token(engine_name, engine)) {
+    throw std::invalid_argument("unknown engine: " + engine_name);
+  }
 
   sim::InstanceFactory factory;
   util::Rng rng(seed);
@@ -110,7 +110,7 @@ int cmd_show(const util::CliFlags& flags) {
 
 int cmd_verify(const util::CliFlags& flags) {
   const std::string db = flags.get("db", "corelocate-maps.db");
-  const sim::XeonModel model = parse_model(flags.get("model", "8259CL"));
+  const sim::XeonModel model = model_flag(flags);
   const std::uint64_t seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
 
   sim::InstanceFactory factory;
@@ -149,7 +149,8 @@ int main(int argc, char** argv) {
     spec.add("db", "FILE", "map-store database file")
         .add("model", "SKU", "CPU model: 8124M, 8175M, 8259CL or 6354")
         .add("seed", "N", "instance seed (map command)")
-        .add("engine", "NAME", "solver engine: ilp, decomposed or refinement")
+        .add("engine", "NAME",
+             "solver engine: " + core::engine_tokens() + " (default refined)")
         .add("ppin", "HEX", "instance PPIN (show/verify commands)");
     const util::CliFlags flags(argc, argv);
     if (flags.handle_help(spec, std::cout)) return 0;

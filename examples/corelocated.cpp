@@ -133,7 +133,7 @@ int main(int argc, char** argv) {
       .add("cache-capacity", "N", "map-cache entries (default 4096)")
       .add("cache-shards", "N", "map-cache shards (default 8)")
       .add("engine", "NAME",
-           "solver engine: decomposed, ilp or refined (default refined)")
+           "solver engine: " + core::engine_tokens() + " (default refined)")
       .add("solution-cache", "0|1",
            "probe/fill the solver solution cache around batch dispatch "
            "(responses stay byte-identical either way; default 0)")
@@ -158,9 +158,9 @@ int main(int argc, char** argv) {
   options.solution_cache =
       flags.get_bool("solution-cache", false) || !solution_cache_path.empty();
   const std::string engine_name = flags.get("engine", "refined");
-  if (!serve::parse_engine_token(engine_name, options.engine)) {
+  if (!core::parse_engine_token(engine_name, options.engine)) {
     std::cerr << "corelocated: unknown --engine '" << engine_name
-              << "' (expected decomposed, ilp or refined)\n";
+              << "' (expected " << core::engine_tokens() << ")\n";
     return 1;
   }
 

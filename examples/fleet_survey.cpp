@@ -39,6 +39,7 @@
 #include "fleet/shard.hpp"
 #include "fleet/survey.hpp"
 #include "recordio/writer.hpp"
+#include "serve/loadgen.hpp"
 #include "util/cli.hpp"
 #include "util/log.hpp"
 #include "util/table.hpp"
@@ -46,14 +47,6 @@
 using namespace corelocate;
 
 namespace {
-
-sim::XeonModel parse_model(const std::string& name) {
-  if (name == "8124M") return sim::XeonModel::k8124M;
-  if (name == "8175M") return sim::XeonModel::k8175M;
-  if (name == "8259CL") return sim::XeonModel::k8259CL;
-  if (name == "6354") return sim::XeonModel::k6354;
-  throw std::invalid_argument("unknown model: " + name);
-}
 
 std::string fmt_metric(double value) {
   char buf[64];
@@ -168,7 +161,11 @@ int main(int argc, char** argv) {
     }
   }
 
-  const sim::XeonModel model = parse_model(flags.get("model", "8259CL"));
+  const std::string model_name = flags.get("model", "8259CL");
+  sim::XeonModel model{};
+  if (!serve::parse_model_token(model_name, model)) {
+    throw std::invalid_argument("unknown model: " + model_name);
+  }
   const int render_top = static_cast<int>(flags.get_int("render-top", 2));
   const std::string rio_path = flags.get("rio", "");
   const std::string out_path = flags.get("out", "");

@@ -2,6 +2,7 @@
 // cores, and print the recovered tile map.
 //
 //   $ ./quickstart [--model 8124M|8175M|8259CL|6354] [--seed N]
+//                  [--engine decomposed|ilp|refined]
 //
 // The example also peeks at the simulator's ground truth — something a
 // real attacker cannot do — to show that the recovered map is right.
@@ -9,21 +10,10 @@
 #include <iostream>
 
 #include "core/pipeline.hpp"
+#include "serve/loadgen.hpp"
 #include "util/cli.hpp"
 
 using namespace corelocate;
-
-namespace {
-
-sim::XeonModel parse_model(const std::string& name) {
-  if (name == "8124M") return sim::XeonModel::k8124M;
-  if (name == "8175M") return sim::XeonModel::k8175M;
-  if (name == "8259CL") return sim::XeonModel::k8259CL;
-  if (name == "6354") return sim::XeonModel::k6354;
-  throw std::invalid_argument("unknown model: " + name);
-}
-
-}  // namespace
 
 int main(int argc, char** argv) {
   util::FlagSpec spec("quickstart",
@@ -31,10 +21,23 @@ int main(int argc, char** argv) {
                       "(probe, solve, render the recovered map).");
   spec.add("model", "SKU", "CPU model: 8124M, 8175M, 8259CL or 6354")
       .add("seed", "N", "instance seed")
-      .add("engine", "NAME", "solver engine: ilp, decomposed or refinement");
+      .add("engine", "NAME",
+           "solver engine: " + core::engine_tokens() + " (default decomposed)");
   const util::CliFlags flags(argc, argv);
   if (flags.handle_help(spec, std::cout)) return 0;
-  const sim::XeonModel model = parse_model(flags.get("model", "8259CL"));
+  sim::XeonModel model{};
+  const std::string model_name = flags.get("model", "8259CL");
+  if (!serve::parse_model_token(model_name, model)) {
+    std::cerr << "quickstart: unknown model: " << model_name << "\n";
+    return 1;
+  }
+  core::SolverEngine engine{};
+  const std::string engine_name = flags.get("engine", "decomposed");
+  if (!core::parse_engine_token(engine_name, engine)) {
+    std::cerr << "quickstart: unknown engine: " << engine_name << " (expected "
+              << core::engine_tokens() << ")\n";
+    return 1;
+  }
   const std::uint64_t seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
 
   // --- "rent" a machine -------------------------------------------------
@@ -49,16 +52,10 @@ int main(int argc, char** argv) {
   // --- run the three-step locating pipeline ------------------------------
   util::Rng tool_rng(seed ^ 0xD15C0ULL);
   core::LocateOptions options = core::options_for(sim::spec_for(model));
-  const std::string engine = flags.get("engine", "decomposed");
-  if (engine == "ilp") {
-    options.engine = core::SolverEngine::kIlp;
-    options.ilp.objective = core::IlpObjective::kCompactSum;
-    options.ilp.max_observations = 40;
-  } else if (engine == "refined") {
-    options.engine = core::SolverEngine::kRefined;
-  } else if (engine != "decomposed") {
-    throw std::invalid_argument("unknown engine: " + engine);
-  }
+  options.engine = engine;
+  // Keep the faithful ILP interactive; the other engines ignore these.
+  options.ilp.objective = core::IlpObjective::kCompactSum;
+  options.ilp.max_observations = 40;
   const core::LocateResult result = core::locate_cores(cpu, tool_rng, options);
   if (!result.success) {
     std::cout << "locating failed: " << result.message << "\n";

@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
       .add("cache-capacity", "N", "map-cache entries (default 4096)")
       .add("distinct", "N", "distinct instances per SKU (default 12)")
       .add("engine", "NAME",
-           "solver engine: decomposed, ilp or refined (default refined)")
+           "solver engine: " + core::engine_tokens() + " (default refined)")
       .add("seed", "N", "workload seed");
   const util::CliFlags flags(argc, argv);
   if (flags.handle_help(spec, std::cout)) return 0;
@@ -49,9 +49,9 @@ int main(int argc, char** argv) {
   options.cache_capacity =
       static_cast<std::size_t>(flags.get_int("cache-capacity", 4096));
   const std::string engine_name = flags.get("engine", "refined");
-  if (!serve::parse_engine_token(engine_name, options.engine)) {
+  if (!core::parse_engine_token(engine_name, options.engine)) {
     std::cerr << "unknown --engine '" << engine_name
-              << "' (expected decomposed, ilp or refined)\n";
+              << "' (expected " << core::engine_tokens() << ")\n";
     return 1;
   }
 

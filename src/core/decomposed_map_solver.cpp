@@ -378,45 +378,6 @@ DecomposedMapSolver::DecomposedMapSolver(DecomposedSolverOptions options)
   }
 }
 
-std::uint64_t DecomposedMapSolver::cache_key(const ObservationSet& observations,
-                                             int cha_count) const {
-  ilp::SignatureBuilder builder(0xD3C0A11EB5F17A02ULL);
-  builder.add(observation_signature(observations))
-      .add_int(cha_count)
-      .add_int(options_.grid_rows)
-      .add_int(options_.grid_cols)
-      .add(static_cast<std::uint64_t>(options_.max_nodes))
-      .add_int(options_.validate_model ? 1 : 0);
-  builder.add(options_.extra_row_edges.size());
-  for (const ExtraEdge& edge : options_.extra_row_edges) {
-    builder.add_int(edge.from_cha).add_int(edge.to_cha).add_int(edge.weight);
-  }
-  builder.add(options_.extra_col_edges.size());
-  for (const ExtraEdge& edge : options_.extra_col_edges) {
-    builder.add_int(edge.from_cha).add_int(edge.to_cha).add_int(edge.weight);
-  }
-  return builder.digest();
-}
-
-bool DecomposedMapSolver::probe_cache(const ObservationSet& observations,
-                                      int cha_count, MapSolveResult& out) const {
-  if (options_.solution_cache == nullptr) return false;
-  const ilp::CachedSolution* hit =
-      options_.solution_cache->find(cache_key(observations, cha_count));
-  if (hit == nullptr) return false;
-  out = replay_cached_solution(*hit);
-  return true;
-}
-
-void DecomposedMapSolver::store_cache(const ObservationSet& observations,
-                                      int cha_count,
-                                      const MapSolveResult& result) const {
-  if (options_.solution_cache == nullptr) return;
-  // Sketch stays zero: this engine has no warm start that would read it.
-  options_.solution_cache->insert(cache_key(observations, cha_count),
-                                  ilp::SimhashSketch{}, to_cached_solution(result));
-}
-
 MapSolveResult DecomposedMapSolver::solve(const ObservationSet& observations,
                                           int cha_count) const {
   obs::Span span("decomposed_solve", "core");
@@ -426,17 +387,6 @@ MapSolveResult DecomposedMapSolver::solve(const ObservationSet& observations,
     result.message = "invalid observations: " + err;
     return result;
   }
-
-  if (probe_cache(observations, cha_count, result)) {
-    span.arg("cache", obs::Json("hit"));
-    return result;
-  }
-  // Every outcome past this point (including failures) replays byte for
-  // byte on a future hit, so cache it wholesale.
-  const auto cache_result = [&](MapSolveResult&& r) {
-    store_cache(observations, cha_count, r);
-    return std::move(r);
-  };
 
   // ---- Rows: pure difference constraints -----------------------------------
   std::size_t activation_count = 0;
@@ -531,7 +481,7 @@ MapSolveResult DecomposedMapSolver::solve(const ObservationSet& observations,
 
   if (!rows_feasible) {
     result.message = "row constraints inconsistent (positive cycle or overflow)";
-    return cache_result(std::move(result));
+    return result;
   }
 
   // ---- Columns: classes + direction search ---------------------------------
@@ -613,7 +563,7 @@ MapSolveResult DecomposedMapSolver::solve(const ObservationSet& observations,
   if (!columns.has_value()) {
     result.message = search.budget_exceeded() ? "direction search node budget exceeded"
                                               : "column constraints inconsistent";
-    return cache_result(std::move(result));
+    return result;
   }
 
   result.success = true;
@@ -623,7 +573,7 @@ MapSolveResult DecomposedMapSolver::solve(const ObservationSet& observations,
     result.cha_position[static_cast<std::size_t>(cha)] =
         mesh::Coord{rows.value(cha), (*columns)[static_cast<std::size_t>(cls(cha))]};
   }
-  return cache_result(std::move(result));
+  return result;
 }
 
 }  // namespace corelocate::core

@@ -50,12 +50,6 @@ struct DecomposedSolverOptions {
   /// structural defect — is a generator bug and throws
   /// std::logic_error). Defaults on in debug builds, off under NDEBUG.
   bool validate_model = ilp::kValidateModelsByDefault;
-  /// Optional cross-instance solution cache (shared keyspace semantics
-  /// with IlpMapSolver but a distinct salt: the engines never collide).
-  /// Hits replay the cold solve byte for byte; entries carry a zero
-  /// simhash sketch because this engine has no warm-start to feed.
-  /// Not owned; not thread-safe — share only across serial solves.
-  ilp::SolutionCache* solution_cache = nullptr;
 };
 
 class DecomposedMapSolver {
@@ -64,21 +58,7 @@ class DecomposedMapSolver {
 
   MapSolveResult solve(const ObservationSet& observations, int cha_count) const;
 
-  /// Serial-phase cache primitives (same contract as IlpMapSolver's):
-  /// `probe_cache` is the exact-hit replay `solve` performs on entry,
-  /// `store_cache` the insert it performs on exit. For callers that must
-  /// keep parallel solves cache-free and confine the cache to serial
-  /// phases — serve's batcher.
-  bool probe_cache(const ObservationSet& observations, int cha_count,
-                   MapSolveResult& out) const;
-  void store_cache(const ObservationSet& observations, int cha_count,
-                   const MapSolveResult& result) const;
-
  private:
-  /// Solution-cache key: observation signature + every option that can
-  /// change the solve's outcome (grid shape, node budget, injected cuts).
-  std::uint64_t cache_key(const ObservationSet& observations, int cha_count) const;
-
   DecomposedSolverOptions options_;
 };
 

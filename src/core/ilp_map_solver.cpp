@@ -12,37 +12,6 @@ using ilp::Model;
 using ilp::Sense;
 using ilp::Variable;
 
-MapSolveResult replay_cached_solution(const ilp::CachedSolution& hit) {
-  MapSolveResult result;
-  result.success = hit.success;
-  result.message = hit.message;
-  result.nodes = hit.nodes_explored;
-  result.lp_iterations = hit.lp_iterations;
-  result.nodes_pruned = hit.nodes_pruned;
-  result.lp_solves_avoided = hit.lp_solves_avoided;
-  result.cache_hit = true;
-  result.cha_position.reserve(hit.positions.size());
-  for (const auto& [row, col] : hit.positions) {
-    result.cha_position.push_back(mesh::Coord{row, col});
-  }
-  return result;
-}
-
-ilp::CachedSolution to_cached_solution(const MapSolveResult& result) {
-  ilp::CachedSolution cached;
-  cached.success = result.success;
-  cached.message = result.message;
-  cached.nodes_explored = result.nodes;
-  cached.lp_iterations = result.lp_iterations;
-  cached.nodes_pruned = result.nodes_pruned;
-  cached.lp_solves_avoided = result.lp_solves_avoided;
-  cached.positions.reserve(result.cha_position.size());
-  for (const mesh::Coord& pos : result.cha_position) {
-    cached.positions.emplace_back(pos.row, pos.col);
-  }
-  return cached;
-}
-
 IlpMapSolver::IlpMapSolver(IlpMapSolverOptions options) : options_(std::move(options)) {
   if (options_.grid_rows <= 0 || options_.grid_cols <= 0) {
     throw std::invalid_argument("IlpMapSolver: non-positive grid dimensions");
@@ -252,24 +221,6 @@ Model IlpMapSolver::build_model(const ObservationSet& observations, int cha_coun
   return model;
 }
 
-std::uint64_t IlpMapSolver::cache_key(const ObservationSet& observations,
-                                      int cha_count) const {
-  ilp::SignatureBuilder builder(0x11F5A9C3D02B71E4ULL);
-  builder.add(observation_signature(observations))
-      .add_int(cha_count)
-      .add_int(options_.grid_rows)
-      .add_int(options_.grid_cols)
-      .add_int(static_cast<int>(options_.objective))
-      .add_int(options_.disaggregated_indicators ? 1 : 0)
-      .add_int(options_.max_observations)
-      .add_int(options_.validate_model ? 1 : 0)
-      .add_int(options_.milp.max_nodes);
-  // presolve and warm_start are deliberately absent: they never change
-  // the answer, so entries are shared across those modes — the point of
-  // the byte-identity contract.
-  return builder.digest();
-}
-
 std::vector<double> IlpMapSolver::warm_assignment(
     const std::vector<std::pair<int, int>>& positions,
     const ObservationSet& observations, int cha_count) const {
@@ -333,11 +284,6 @@ MapSolveResult IlpMapSolver::solve(const ObservationSet& observations,
     return result;
   }
 
-  if (probe_cache(observations, cha_count, result)) {
-    span.arg("cache", obs::Json("hit"));
-    return result;
-  }
-
   obs::Span build_span("build_model", "core");
   const Model model = build_model(observations, cha_count);
   build_span.arg("variables", obs::Json(model.variable_count()));
@@ -386,30 +332,7 @@ MapSolveResult IlpMapSolver::solve(const ObservationSet& observations,
           mesh::Coord{static_cast<int>(std::lround(r)), static_cast<int>(std::lround(c))};
     }
   }
-
-  store_cache(observations, cha_count, result);
   return result;
-}
-
-bool IlpMapSolver::probe_cache(const ObservationSet& observations, int cha_count,
-                               MapSolveResult& out) const {
-  if (options_.solution_cache == nullptr) return false;
-  const ilp::CachedSolution* hit =
-      options_.solution_cache->find(cache_key(observations, cha_count));
-  if (hit == nullptr) return false;
-  out = replay_cached_solution(*hit);
-  return true;
-}
-
-void IlpMapSolver::store_cache(const ObservationSet& observations, int cha_count,
-                               const MapSolveResult& result) const {
-  if (options_.solution_cache == nullptr) return;
-  // The sketch is only consulted by warm-start lookups; skip the
-  // O(observations) vote pass when nobody will read it.
-  const ilp::SimhashSketch sketch =
-      options_.warm_start ? observation_sketch(observations) : ilp::SimhashSketch{};
-  options_.solution_cache->insert(cache_key(observations, cha_count), sketch,
-                                  to_cached_solution(result));
 }
 
 }  // namespace corelocate::core

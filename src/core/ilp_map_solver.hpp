@@ -51,15 +51,6 @@ struct MapSolveResult {
   bool cache_hit = false;
 };
 
-/// Lifts a cached solve back into solver-result terms (`cache_hit` set).
-/// The inverse of `to_cached_solution`; both engines share it so a hit
-/// replays a cold solve byte for byte.
-MapSolveResult replay_cached_solution(const ilp::CachedSolution& hit);
-
-/// Flattens a finished solve for storage (positions become (row, col)
-/// pairs; the `cache_hit` flag is not stored — replays recreate it).
-ilp::CachedSolution to_cached_solution(const MapSolveResult& result);
-
 struct IlpMapSolverOptions {
   int grid_rows = 5;  ///< T_h
   int grid_cols = 6;  ///< T_w
@@ -77,14 +68,12 @@ struct IlpMapSolverOptions {
   /// Defaults on in debug builds, off under NDEBUG.
   bool validate_model = ilp::kValidateModelsByDefault;
   ilp::MilpOptions milp;
-  /// Optional cross-instance solution cache, keyed on the canonical
-  /// observation signature plus every option that changes the answer.
-  /// Hits replay the cold solve byte for byte. Not owned; the cache is
-  /// not thread-safe — share it only across serial solves.
-  ilp::SolutionCache* solution_cache = nullptr;
-  /// On a cache miss, seed branch & bound with the Hamming-nearest
-  /// cached solution as a pruning bound (ilp::MilpOptions::warm_start
-  /// semantics: the returned map is identical to a cold solve).
+  /// Warm-start source, read only: with `warm_start` set, branch & bound
+  /// is seeded with its Hamming-nearest cached solution as a pruning
+  /// bound (ilp::MilpOptions::warm_start semantics: the returned map is
+  /// identical to a cold solve). MapSolver::solve points it at the cache
+  /// it probes and fills; the engine itself never probes or stores.
+  const ilp::SolutionCache* solution_cache = nullptr;
   bool warm_start = false;
 };
 
@@ -97,24 +86,10 @@ class IlpMapSolver {
   /// Builds the MILP without solving (exposed for tests / size reporting).
   ilp::Model build_model(const ObservationSet& observations, int cha_count) const;
 
-  /// Serial-phase cache primitives for callers whose parallel solves must
-  /// run cache-free (serve's batcher probes groups before dispatch and
-  /// fills after the join, both serial). `probe_cache` is exactly the
-  /// exact-hit replay `solve` performs on entry — true and a filled
-  /// `out` on a hit, false on a miss or with no cache attached.
-  /// `store_cache` is exactly the insert `solve` performs on exit.
-  bool probe_cache(const ObservationSet& observations, int cha_count,
-                   MapSolveResult& out) const;
-  void store_cache(const ObservationSet& observations, int cha_count,
-                   const MapSolveResult& result) const;
-
  private:
   /// Observation subset the model is built from (max_observations cap).
   std::vector<const PathObservation*> select_observations(
       const ObservationSet& observations, int cha_count) const;
-  /// Solution-cache key: observation signature + every option that can
-  /// change the solve's outcome.
-  std::uint64_t cache_key(const ObservationSet& observations, int cha_count) const;
   /// Lifts cached (row, col) positions into a full model assignment
   /// (direction binaries, one-hots, indicators) for warm starting.
   /// Empty when the positions cannot fit this model's shape.

@@ -82,38 +82,74 @@ std::string validate_observations(const ObservationSet& observations, int cha_co
   return {};
 }
 
+std::vector<ImpliedIngress> implied_ingress(const std::vector<mesh::Coord>& positions,
+                                            const ObservationSet& observations,
+                                            int grid_rows, int grid_cols) {
+  const mesh::TileGrid grid(grid_rows, grid_cols);
+  // Tile -> CHAs index, built once per placement: sorted (tile, cha)
+  // pairs, so the CHAs on one tile are contiguous and ascending.
+  std::vector<std::pair<std::size_t, int>> placed;
+  placed.reserve(positions.size());
+  for (std::size_t cha = 0; cha < positions.size(); ++cha) {
+    if (grid.in_bounds(positions[cha])) {
+      placed.emplace_back(grid.index_of(positions[cha]), static_cast<int>(cha));
+    }
+  }
+  std::sort(placed.begin(), placed.end());
+
+  std::vector<ImpliedIngress> implied;
+  std::size_t activations = 0;
+  for (const PathObservation& obs : observations) activations += obs.activations.size();
+  implied.reserve(activations);  // exact for a placement that explains them
+  for (std::size_t p = 0; p < observations.size(); ++p) {
+    const PathObservation& obs = observations[p];
+    const mesh::Coord source = positions[static_cast<std::size_t>(obs.source_cha)];
+    const mesh::Coord sink = positions[static_cast<std::size_t>(obs.sink_cha)];
+    if (!grid.in_bounds(source) || !grid.in_bounds(sink)) {
+      throw std::out_of_range("implied_ingress: endpoint placed off the grid");
+    }
+    mesh::for_each_yx_hop(source, sink, [&](const mesh::Hop& hop) {
+      const mesh::ChannelLabel label = mesh::ingress_label(hop.direction, hop.receiver);
+      const std::size_t tile = grid.index_of(hop.receiver);
+      for (auto it = std::lower_bound(placed.begin(), placed.end(), std::pair{tile, -1});
+           it != placed.end() && it->first == tile; ++it) {
+        implied.push_back(ImpliedIngress{p, it->second, label});
+      }
+    });
+  }
+  return implied;
+}
+
 namespace {
 
 ConsistencyReport check_one_orientation(const std::vector<mesh::Coord>& positions,
                                         const ObservationSet& observations,
-                                        const mesh::TileGrid& grid) {
+                                        int grid_rows, int grid_cols) {
+  const std::vector<ImpliedIngress> implied =
+      implied_ingress(positions, observations, grid_rows, grid_cols);
   ConsistencyReport report;
-  for (const PathObservation& obs : observations) {
-    const mesh::Route route =
-        mesh::route_yx(grid, positions[static_cast<std::size_t>(obs.source_cha)],
-                       positions[static_cast<std::size_t>(obs.sink_cha)]);
-    // Implied (cha, label) set for this path.
-    std::vector<std::pair<int, mesh::ChannelLabel>> implied;
-    for (const mesh::IngressEvent& event : mesh::ingress_events(route)) {
-      for (std::size_t cha = 0; cha < positions.size(); ++cha) {
-        if (positions[cha] == event.tile) {
-          implied.emplace_back(static_cast<int>(cha), event.label);
-        }
+  auto begin = implied.begin();
+  for (std::size_t p = 0; p < observations.size(); ++p) {
+    const auto end = std::find_if(begin, implied.end(), [p](const ImpliedIngress& i) {
+      return i.observation != p;
+    });
+    const std::vector<ChannelActivation>& activations = observations[p].activations;
+    for (const ChannelActivation& act : activations) {
+      if (std::none_of(begin, end, [&act](const ImpliedIngress& i) {
+            return i.cha == act.cha && i.label == act.label;
+          })) {
+        ++report.positive_violations;
       }
     }
-    for (const ChannelActivation& act : obs.activations) {
-      const bool found =
-          std::find(implied.begin(), implied.end(),
-                    std::make_pair(act.cha, act.label)) != implied.end();
-      if (!found) ++report.positive_violations;
-    }
-    for (const auto& [cha, label] : implied) {
-      bool observed = false;
-      for (const ChannelActivation& act : obs.activations) {
-        observed = observed || (act.cha == cha && act.label == label);
+    for (auto it = begin; it != end; ++it) {
+      if (std::none_of(activations.begin(), activations.end(),
+                       [it](const ChannelActivation& act) {
+                         return act.cha == it->cha && act.label == it->label;
+                       })) {
+        ++report.negative_violations;
       }
-      if (!observed) ++report.negative_violations;
     }
+    begin = end;
   }
   return report;
 }
@@ -123,11 +159,12 @@ ConsistencyReport check_one_orientation(const std::vector<mesh::Coord>& position
 ConsistencyReport check_consistency(const std::vector<mesh::Coord>& positions,
                                     const ObservationSet& observations, int grid_rows,
                                     int grid_cols) {
-  const mesh::TileGrid grid(grid_rows, grid_cols);
-  const ConsistencyReport straight = check_one_orientation(positions, observations, grid);
+  const ConsistencyReport straight =
+      check_one_orientation(positions, observations, grid_rows, grid_cols);
   std::vector<mesh::Coord> mirrored = positions;
   for (mesh::Coord& pos : mirrored) pos.col = grid_cols - 1 - pos.col;
-  const ConsistencyReport flipped = check_one_orientation(mirrored, observations, grid);
+  const ConsistencyReport flipped =
+      check_one_orientation(mirrored, observations, grid_rows, grid_cols);
   const auto score = [](const ConsistencyReport& r) {
     return r.positive_violations * 1000 + r.negative_violations;
   };

@@ -67,6 +67,26 @@ std::uint64_t observation_signature(const ObservationSet& observations);
 /// differing in a few probes land a few bits apart.
 ilp::SimhashSketch observation_sketch(const ObservationSet& observations);
 
+/// One ingress a candidate placement implies: re-routed on the placed
+/// grid, observation `observation`'s path enters the tile of CHA `cha` on
+/// channel `label`.
+struct ImpliedIngress {
+  std::size_t observation = 0;
+  int cha = -1;
+  mesh::ChannelLabel label{mesh::ChannelLabel::kUp};
+};
+
+/// The one consistency walk: lists every ingress `positions` (per CHA)
+/// implies for `observations` on a grid_rows x grid_cols mesh, in
+/// observation order, then hop order, then ascending CHA id within a
+/// tile. Observation endpoints must be placed on the grid (else
+/// std::out_of_range); other CHAs placed off it imply nothing. Both the
+/// consistency report below and refinement's violation scan filter
+/// this list.
+std::vector<ImpliedIngress> implied_ingress(const std::vector<mesh::Coord>& positions,
+                                            const ObservationSet& observations,
+                                            int grid_rows, int grid_cols);
+
 /// How well a candidate placement explains an observation set, judged by
 /// re-routing every observed pair on the placed grid.
 struct ConsistencyReport {

@@ -38,35 +38,9 @@ LocateResult locate_cores(sim::VirtualXeon& cpu, util::Rng& rng,
   MapSolveResult solved;
   {
     obs::Span span("map_solve", "core");
-    if (options.engine == SolverEngine::kIlp) {
-      IlpMapSolverOptions ilp_options = options.ilp;
-      ilp_options.grid_rows = options.grid_rows;
-      ilp_options.grid_cols = options.grid_cols;
-      if (ilp_options.solution_cache == nullptr) {
-        ilp_options.solution_cache = options.solution_cache;
-      }
-      solved = IlpMapSolver(ilp_options).solve(result.observations, cpu.cha_count());
-    } else if (options.engine == SolverEngine::kRefined) {
-      RefinementOptions refine_options = options.refinement;
-      refine_options.grid_rows = options.grid_rows;
-      refine_options.grid_cols = options.grid_cols;
-      const RefinementResult refined =
-          solve_with_refinement(result.observations, cpu.cha_count(), refine_options);
-      solved = refined.solved;
-      if (solved.success) {
-        solved.message += " (+" + std::to_string(refined.cuts_added) +
-                          " negative-information cuts)";
-      }
-    } else {
-      DecomposedSolverOptions dec_options = options.decomposed;
-      dec_options.grid_rows = options.grid_rows;
-      dec_options.grid_cols = options.grid_cols;
-      if (dec_options.solution_cache == nullptr) {
-        dec_options.solution_cache = options.solution_cache;
-      }
-      solved = DecomposedMapSolver(dec_options).solve(result.observations,
-                                                      cpu.cha_count());
-    }
+    solved = MapSolver(options.engine, options.grid_rows, options.grid_cols,
+                       options.ilp, options.decomposed)
+                 .solve(result.observations, cpu.cha_count(), options.solution_cache);
     span.arg("nodes", obs::Json(solved.nodes));
     span.arg("lp_iterations", obs::Json(solved.lp_iterations));
     result.step3_seconds = span.stop();

@@ -2,23 +2,16 @@
 // End-to-end core locating pipeline (paper Sec. II):
 //   1. OS core ID <-> CHA ID mapping        (ChaMapper)
 //   2. inter-core traffic generation/probing (TrafficProber)
-//   3. core-map reconstruction               (ILP or decomposed solver)
+//   3. core-map reconstruction               (MapSolver: ILP, decomposed
+//                                             or refined engine)
 // plus the PPIN read that identifies the CPU instance.
 
 #include "core/cha_mapper.hpp"
 #include "core/core_map.hpp"
-#include "core/decomposed_map_solver.hpp"
-#include "core/ilp_map_solver.hpp"
-#include "core/refinement.hpp"
+#include "core/map_solver.hpp"
 #include "core/traffic_probe.hpp"
 
 namespace corelocate::core {
-
-enum class SolverEngine {
-  kDecomposed,  ///< the paper's method, decomposed (fleet-scale default)
-  kIlp,         ///< the paper's method, faithful MILP
-  kRefined,     ///< extension: decomposed + negative-information cuts
-};
 
 struct LocateOptions {
   SolverEngine engine = SolverEngine::kDecomposed;
@@ -28,13 +21,12 @@ struct LocateOptions {
   int grid_cols = 8;
   ChaMapperOptions mapper;
   TrafficProbeOptions probe;
-  IlpMapSolverOptions ilp;              ///< grid dims overridden from above
-  DecomposedSolverOptions decomposed;   ///< grid dims overridden from above
-  RefinementOptions refinement;         ///< grid dims overridden from above
-  /// Optional cross-instance solution cache, forwarded to the ILP or
-  /// decomposed engine when their own pointer is unset. The refined
-  /// engine never consults it (its per-iteration cut sets would pollute
-  /// the keyspace one entry per cut). Not owned; not thread-safe.
+  /// Engine tuning handed to MapSolver, which overrides their grid
+  /// dimensions with the ones above.
+  IlpMapSolverOptions ilp;
+  DecomposedSolverOptions decomposed;
+  /// Optional cross-instance solution cache, consulted by every engine
+  /// (MapSolver::solve). Not owned; not thread-safe.
   ilp::SolutionCache* solution_cache = nullptr;
 };
 

@@ -8,42 +8,24 @@ namespace corelocate::core {
 
 namespace {
 
-/// A quiet CHA the candidate map places on a probe's route.
-struct Violation {
-  std::size_t path = 0;
-  int cha = -1;
-  bool vertical_leg = false;  ///< on the vertical (else horizontal) leg
-};
-
-std::vector<Violation> find_violations(const std::vector<mesh::Coord>& positions,
-                                       const ObservationSet& observations,
-                                       const mesh::TileGrid& grid) {
-  std::vector<Violation> violations;
-  violations.reserve(observations.size());
-  for (std::size_t p = 0; p < observations.size(); ++p) {
-    const PathObservation& obs = observations[p];
-    const mesh::Route route =
-        mesh::route_yx(grid, positions[static_cast<std::size_t>(obs.source_cha)],
-                       positions[static_cast<std::size_t>(obs.sink_cha)]);
-    for (const mesh::IngressEvent& event : mesh::ingress_events(route)) {
-      for (std::size_t cha = 0; cha < positions.size(); ++cha) {
-        if (positions[cha] != event.tile) continue;
-        const int cha_id = static_cast<int>(cha);
-        if (cha_id == obs.source_cha || cha_id == obs.sink_cha) continue;
-        bool observed = false;
-        for (const ChannelActivation& act : obs.activations) {
-          // Any activation at this CHA counts: a label mismatch is a
-          // parity artifact of the candidate placement, not evidence the
-          // tile was quiet.
-          observed = observed || act.cha == cha_id;
-        }
-        if (!observed) {
-          violations.push_back(
-              Violation{p, cha_id, mesh::is_vertical(event.label)});
-        }
-      }
-    }
-  }
+/// The quiet CHAs the candidate map places on a probe's route: implied
+/// ingress at a CHA other than the probe's endpoints that reported no
+/// activation. Any activation at the CHA counts: a label mismatch is a
+/// parity artifact of the candidate placement, not evidence the tile was
+/// quiet.
+std::vector<ImpliedIngress> find_violations(const std::vector<mesh::Coord>& positions,
+                                            const ObservationSet& observations,
+                                            const RefinementOptions& options) {
+  std::vector<ImpliedIngress> violations = implied_ingress(
+      positions, observations, options.grid_rows, options.grid_cols);
+  std::erase_if(violations, [&observations](const ImpliedIngress& implied) {
+    const PathObservation& obs = observations[implied.observation];
+    return implied.cha == obs.source_cha || implied.cha == obs.sink_cha ||
+           std::any_of(obs.activations.begin(), obs.activations.end(),
+                       [&implied](const ChannelActivation& act) {
+                         return act.cha == implied.cha;
+                       });
+  });
   return violations;
 }
 
@@ -54,16 +36,16 @@ struct Cut {
   ExtraEdge edge;
 };
 
-std::vector<Cut> cuts_for(const Violation& v, const ObservationSet& observations,
+std::vector<Cut> cuts_for(const ImpliedIngress& v, const ObservationSet& observations,
                           const std::vector<mesh::Coord>& positions) {
-  const PathObservation& obs = observations[v.path];
+  const PathObservation& obs = observations[v.observation];
   const int s = obs.source_cha;
   const int e = obs.sink_cha;
   const int k = v.cha;
   const mesh::Coord sp = positions[static_cast<std::size_t>(s)];
   const mesh::Coord ep = positions[static_cast<std::size_t>(e)];
   std::vector<Cut> cuts;
-  if (v.vertical_leg) {
+  if (mesh::is_vertical(v.label)) {
     const bool up = ep.row < sp.row;
     if (up) {
       // Leg rows are [R_e, R_s - 1] on the source column.
@@ -101,12 +83,11 @@ RefinementResult solve_with_refinement(const ObservationSet& observations,
   DecomposedSolverOptions solver_options;
   solver_options.grid_rows = options.grid_rows;
   solver_options.grid_cols = options.grid_cols;
-  const mesh::TileGrid grid(options.grid_rows, options.grid_cols);
 
   result.solved = DecomposedMapSolver(solver_options).solve(observations, cha_count);
   if (!result.solved.success) return result;
-  std::vector<Violation> violations =
-      find_violations(result.solved.cha_position, observations, grid);
+  std::vector<ImpliedIngress> violations =
+      find_violations(result.solved.cha_position, observations, options);
   result.initial_violations = static_cast<int>(violations.size());
   result.final_violations = result.initial_violations;
 
@@ -138,7 +119,7 @@ RefinementResult solve_with_refinement(const ObservationSet& observations,
             DecomposedMapSolver(trial).solve(observations, cha_count);
         if (!solved.success) continue;
         const std::size_t count =
-            find_violations(solved.cha_position, observations, grid).size();
+            find_violations(solved.cha_position, observations, options).size();
         if (count < best_violation_count) {
           best_violation_count = count;
           best_solved = solved;
@@ -158,7 +139,7 @@ RefinementResult solve_with_refinement(const ObservationSet& observations,
     }
     ++result.cuts_added;
     result.solved = std::move(*best_solved);
-    violations = find_violations(result.solved.cha_position, observations, grid);
+    violations = find_violations(result.solved.cha_position, observations, options);
     result.final_violations = static_cast<int>(violations.size());
   }
   return result;

@@ -3,32 +3,9 @@
 #include <map>
 #include <stdexcept>
 
-#include "core/decomposed_map_solver.hpp"
-#include "core/refinement.hpp"
 #include "ilp/signature.hpp"
 
 namespace corelocate::serve {
-
-namespace {
-
-// One option-construction path shared by solve_mapping, probe_solution
-// and store_solution: the probe and the fill must key the solution
-// cache exactly as a cache-attached solve would.
-core::IlpMapSolverOptions ilp_solver_options(const sim::ModelSpec& spec) {
-  core::IlpMapSolverOptions options;
-  options.grid_rows = spec.die.rows;
-  options.grid_cols = spec.die.cols;
-  return options;
-}
-
-core::DecomposedSolverOptions decomposed_solver_options(const sim::ModelSpec& spec) {
-  core::DecomposedSolverOptions options;
-  options.grid_rows = spec.die.rows;
-  options.grid_cols = spec.die.cols;
-  return options;
-}
-
-}  // namespace
 
 std::uint64_t solve_group_key(const MappingRequest& request, std::uint64_t signature) {
   ilp::SignatureBuilder builder(0xBA7C4E12ULL);
@@ -51,63 +28,6 @@ std::vector<SolveGroup> group_pending(const std::vector<PendingSolve>& pending) 
     }
   }
   return groups;
-}
-
-core::MapSolveResult solve_mapping(const MappingRequest& request,
-                                   core::SolverEngine engine) {
-  if (!request.observations) {
-    core::MapSolveResult failed;
-    failed.message = "mapping request carries no observations";
-    return failed;
-  }
-  const sim::ModelSpec& spec = sim::spec_for(request.model);
-  if (engine == core::SolverEngine::kIlp) {
-    return core::IlpMapSolver(ilp_solver_options(spec))
-        .solve(*request.observations, request.cha_count);
-  }
-  if (engine == core::SolverEngine::kRefined) {
-    core::RefinementOptions options;
-    options.grid_rows = spec.die.rows;
-    options.grid_cols = spec.die.cols;
-    return core::solve_with_refinement(*request.observations, request.cha_count,
-                                       options)
-        .solved;
-  }
-  return core::DecomposedMapSolver(decomposed_solver_options(spec))
-      .solve(*request.observations, request.cha_count);
-}
-
-bool probe_solution(const MappingRequest& request, core::SolverEngine engine,
-                    ilp::SolutionCache& cache, core::MapSolveResult& solved) {
-  if (!request.observations || engine == core::SolverEngine::kRefined) return false;
-  const sim::ModelSpec& spec = sim::spec_for(request.model);
-  if (engine == core::SolverEngine::kIlp) {
-    core::IlpMapSolverOptions options = ilp_solver_options(spec);
-    options.solution_cache = &cache;
-    return core::IlpMapSolver(options).probe_cache(*request.observations,
-                                                   request.cha_count, solved);
-  }
-  core::DecomposedSolverOptions options = decomposed_solver_options(spec);
-  options.solution_cache = &cache;
-  return core::DecomposedMapSolver(options).probe_cache(*request.observations,
-                                                        request.cha_count, solved);
-}
-
-void store_solution(const MappingRequest& request, core::SolverEngine engine,
-                    ilp::SolutionCache& cache, const core::MapSolveResult& solved) {
-  if (!request.observations || engine == core::SolverEngine::kRefined) return;
-  const sim::ModelSpec& spec = sim::spec_for(request.model);
-  if (engine == core::SolverEngine::kIlp) {
-    core::IlpMapSolverOptions options = ilp_solver_options(spec);
-    options.solution_cache = &cache;
-    core::IlpMapSolver(options).store_cache(*request.observations,
-                                            request.cha_count, solved);
-    return;
-  }
-  core::DecomposedSolverOptions options = decomposed_solver_options(spec);
-  options.solution_cache = &cache;
-  core::DecomposedMapSolver(options).store_cache(*request.observations,
-                                                 request.cha_count, solved);
 }
 
 core::CoreMap build_map(const MappingRequest& request, core::MapSolveResult solved) {

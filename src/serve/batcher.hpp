@@ -13,8 +13,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/core_map.hpp"
 #include "core/ilp_map_solver.hpp"
-#include "core/pipeline.hpp"
 #include "serve/request.hpp"
 
 namespace corelocate::serve {
@@ -38,25 +38,6 @@ std::uint64_t solve_group_key(const MappingRequest& request, std::uint64_t signa
 /// Groups pending items by group_key, ordered by first appearance;
 /// members keep their batch order within a group.
 std::vector<SolveGroup> group_pending(const std::vector<PendingSolve>& pending);
-
-/// Runs the step-3 solve for one request's observation set with the
-/// grid dimensions of its model. Pure function of its arguments.
-core::MapSolveResult solve_mapping(const MappingRequest& request,
-                                   core::SolverEngine engine);
-
-/// Serial-phase solution-cache probe for one solve group's request: an
-/// exact-signature hit replays the group's cold solve into `solved`
-/// without dispatching it (returns true). Misses — and the refined
-/// engine, which never consults the cache — return false. Must only run
-/// in a serial phase: ilp::SolutionCache is not thread-safe.
-bool probe_solution(const MappingRequest& request, core::SolverEngine engine,
-                    ilp::SolutionCache& cache, core::MapSolveResult& solved);
-
-/// Serial-phase solution-cache fill after a Phase B solve: stores
-/// `solved` under exactly the key `probe_solution` would look up.
-/// First write wins; the refined engine no-ops.
-void store_solution(const MappingRequest& request, core::SolverEngine engine,
-                    ilp::SolutionCache& cache, const core::MapSolveResult& solved);
 
 /// Assembles the served CoreMap from a successful solve plus the
 /// request's identity fields (mirrors core::locate_cores' final step).

@@ -35,27 +35,6 @@ bool parse_model_token(const std::string& token, sim::XeonModel& model) {
   return false;
 }
 
-const char* engine_token(core::SolverEngine engine) {
-  switch (engine) {
-    case core::SolverEngine::kDecomposed: return "decomposed";
-    case core::SolverEngine::kIlp: return "ilp";
-    case core::SolverEngine::kRefined: return "refined";
-  }
-  return "?";
-}
-
-bool parse_engine_token(const std::string& token, core::SolverEngine& engine) {
-  for (const core::SolverEngine candidate :
-       {core::SolverEngine::kDecomposed, core::SolverEngine::kIlp,
-        core::SolverEngine::kRefined}) {
-    if (token == engine_token(candidate)) {
-      engine = candidate;
-      return true;
-    }
-  }
-  return false;
-}
-
 MappingRequest synthesize_client(sim::XeonModel model, std::uint64_t seed,
                                  const sim::InstanceFactory& factory) {
   util::Rng rng(seed);

@@ -19,7 +19,7 @@
 #include <string>
 #include <vector>
 
-#include "core/pipeline.hpp"
+#include "core/observation.hpp"
 #include "serve/request.hpp"
 #include "sim/instance_factory.hpp"
 
@@ -52,13 +52,6 @@ const char* model_token(sim::XeonModel model);
 
 /// Inverse of model_token. Returns false on an unknown token.
 bool parse_model_token(const std::string& token, sim::XeonModel& model);
-
-/// Solver-engine token used by the serving CLIs ("decomposed", "ilp",
-/// "refined").
-const char* engine_token(core::SolverEngine engine);
-
-/// Inverse of engine_token. Returns false on an unknown token.
-bool parse_engine_token(const std::string& token, core::SolverEngine& engine);
 
 /// Synthesizes the client-side view of one instance: ground-truth
 /// identity plus the observation set a local probe run would measure.

@@ -27,6 +27,13 @@ std::uint64_t map_digest(const core::CoreMap& map) {
   return builder.digest();
 }
 
+/// The step-3 solver for one request: the service's engine on the grid
+/// of the request's model.
+core::MapSolver solver_for(const MappingRequest& request, core::SolverEngine engine) {
+  const sim::ModelSpec& spec = sim::spec_for(request.model);
+  return core::MapSolver(engine, spec.die.rows, spec.die.cols);
+}
+
 /// Per-request scratch state for one batch.
 struct ItemState {
   Endpoint endpoint = Endpoint::kMapping;
@@ -215,8 +222,10 @@ std::size_t Service::run_batch(std::vector<Queued>& batch) {
     std::uint64_t solution_hits = 0;
     for (std::size_t g = 0; g < groups.size(); ++g) {
       const MappingRequest& mapping = *items[groups[g].members.front()].mapping;
-      if (probe_solution(mapping, options_.engine, solution_cache_,
-                         results[g].solved)) {
+      if (mapping.observations &&
+          solver_for(mapping, options_.engine)
+              .probe_cache(*mapping.observations, mapping.cha_count, solution_cache_,
+                           results[g].solved)) {
         group_replayed[g] = 1;
         ++solution_hits;
       }
@@ -235,7 +244,12 @@ std::size_t Service::run_batch(std::vector<Queued>& batch) {
     const MappingRequest& mapping = *items[groups[g].members.front()].mapping;
     const auto start = obs::Clock::now();  // corelint: non-deterministic
     try {
-      results[g].solved = solve_mapping(mapping, options_.engine);
+      if (mapping.observations) {
+        results[g].solved = solver_for(mapping, options_.engine)
+                                .solve(*mapping.observations, mapping.cha_count);
+      } else {
+        results[g].solved.message = "mapping request carries no observations";
+      }
     } catch (const std::exception& e) {
       results[g].solved.success = false;
       results[g].solved.message = std::string("exception: ") + e.what();
@@ -272,7 +286,9 @@ std::size_t Service::run_batch(std::vector<Queued>& batch) {
     for (std::size_t g = 0; g < groups.size(); ++g) {
       if (group_replayed[g] || !results[g].solved.success) continue;
       const MappingRequest& mapping = *items[groups[g].members.front()].mapping;
-      store_solution(mapping, options_.engine, solution_cache_, results[g].solved);
+      solver_for(mapping, options_.engine)
+          .store_cache(*mapping.observations, mapping.cha_count, solution_cache_,
+                       results[g].solved);
     }
     registry_.gauge("serve.solution_cache.size")
         .set(static_cast<double>(solution_cache_.size()));

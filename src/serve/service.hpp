@@ -36,7 +36,7 @@
 #include <memory>
 #include <vector>
 
-#include "core/pipeline.hpp"
+#include "core/map_solver.hpp"
 #include "ilp/solution_cache.hpp"
 #include "obs/metrics.hpp"
 #include "serve/map_cache.hpp"
@@ -55,9 +55,10 @@ struct ServiceOptions {
   std::size_t cache_capacity = 4096;
   std::size_t cache_shards = 8;
   core::SolverEngine engine = core::SolverEngine::kDecomposed;
-  /// Put a solver-level ilp::SolutionCache behind the map cache: solve
-  /// groups are probed against it before Phase B dispatch and cold
-  /// successes fill it after the join — both serial phases, honouring
+  /// Put a solver-level ilp::SolutionCache behind the map cache, for
+  /// every engine (core::MapSolver's engine-salted keys): solve groups
+  /// are probed against it before Phase B dispatch and cold successes
+  /// fill it after the join — both serial phases, honouring
   /// the cache's no-concurrency contract. Hits only skip the dispatch:
   /// every response, statuses included, stays byte-identical to a run
   /// with the cache off (a hit replays the cold solve byte for byte).

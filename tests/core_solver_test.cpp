@@ -3,6 +3,7 @@
 #include "core/core_map.hpp"
 #include "core/decomposed_map_solver.hpp"
 #include "core/ilp_map_solver.hpp"
+#include "core/map_solver.hpp"
 
 namespace corelocate::core {
 namespace {
@@ -294,6 +295,21 @@ TEST(Solvers, EnginesAgreeOnMicroInstance) {
   const MapAccuracy accB = score_against_truth(map_from(b, config), config);
   EXPECT_TRUE(accA.exact());
   EXPECT_TRUE(accB.exact());
+}
+
+TEST(MapSolver, EngineTokensRoundTrip) {
+  // tests/CMakeLists.txt runs quickstart once per token: keep both lists
+  // in step.
+  EXPECT_EQ(engine_tokens(), "decomposed|ilp|refined");
+  for (const SolverEngine engine : kSolverEngines) {
+    SolverEngine parsed = engine == SolverEngine::kIlp ? SolverEngine::kRefined
+                                                       : SolverEngine::kIlp;
+    ASSERT_TRUE(parse_engine_token(engine_token(engine), parsed));
+    EXPECT_EQ(parsed, engine);
+  }
+  SolverEngine untouched = SolverEngine::kIlp;
+  EXPECT_FALSE(parse_engine_token("refinement", untouched));
+  EXPECT_EQ(untouched, SolverEngine::kIlp);
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // SolutionCache semantics (first-write-wins, capacity, Hamming-nearest,
-// deterministic merge) and the solver-level contract: a cache hit
-// replays the cold solve byte for byte, and a warm start never changes
-// the answer.
+// deterministic merge) and the solver-level contract, kept by
+// core::MapSolver for every engine: a cache hit replays the cold solve
+// byte for byte, and a warm start never changes the answer.
 
 #include "ilp/solution_cache.hpp"
 
@@ -15,9 +15,7 @@
 #include <utility>
 #include <vector>
 
-#include "core/decomposed_map_solver.hpp"
-#include "core/ilp_map_solver.hpp"
-#include "core/observation.hpp"
+#include "core/map_solver.hpp"
 #include "sim/instance_factory.hpp"
 #include "util/rng.hpp"
 
@@ -244,20 +242,20 @@ TEST(SolutionCacheSolver, DecomposedHitReplaysColdSolve) {
   EXPECT_FALSE(cold.cache_hit);
 
   SolutionCache cache;
-  options.solution_cache = &cache;
-  const core::DecomposedMapSolver solver(options);
+  const core::MapSolver solver(core::SolverEngine::kDecomposed, options.grid_rows,
+                               options.grid_cols);
   core::MapSolveResult probed;
-  EXPECT_FALSE(solver.probe_cache(obs, config.cha_count(), probed));
+  EXPECT_FALSE(solver.probe_cache(obs, config.cha_count(), cache, probed));
 
-  const core::MapSolveResult filled = solver.solve(obs, config.cha_count());
+  const core::MapSolveResult filled = solver.solve(obs, config.cha_count(), &cache);
   EXPECT_FALSE(filled.cache_hit);
   expect_same_solve(cold, filled);
   EXPECT_EQ(cache.size(), 1u);
 
-  const core::MapSolveResult hit = solver.solve(obs, config.cha_count());
+  const core::MapSolveResult hit = solver.solve(obs, config.cha_count(), &cache);
   EXPECT_TRUE(hit.cache_hit);
   expect_same_solve(cold, hit);
-  ASSERT_TRUE(solver.probe_cache(obs, config.cha_count(), probed));
+  ASSERT_TRUE(solver.probe_cache(obs, config.cha_count(), cache, probed));
   EXPECT_TRUE(probed.cache_hit);
   expect_same_solve(cold, probed);
 }
@@ -276,11 +274,11 @@ TEST(SolutionCacheSolver, DecomposedStorePrimitiveMatchesSolvePath) {
   // store_cache must file the result under exactly the key probe_cache
   // (and solve) would look up.
   SolutionCache cache;
-  options.solution_cache = &cache;
-  const core::DecomposedMapSolver solver(options);
-  solver.store_cache(obs, config.cha_count(), cold);
+  const core::MapSolver solver(core::SolverEngine::kDecomposed, options.grid_rows,
+                               options.grid_cols);
+  solver.store_cache(obs, config.cha_count(), cache, cold);
   core::MapSolveResult probed;
-  ASSERT_TRUE(solver.probe_cache(obs, config.cha_count(), probed));
+  ASSERT_TRUE(solver.probe_cache(obs, config.cha_count(), cache, probed));
   expect_same_solve(cold, probed);
 }
 
@@ -300,19 +298,19 @@ TEST(SolutionCacheSolver, IlpHitReplaysColdSolve) {
   ASSERT_TRUE(cold.success) << cold.message;
 
   SolutionCache cache;
-  options.solution_cache = &cache;
-  const core::IlpMapSolver solver(options);
-  const core::MapSolveResult filled = solver.solve(obs, config.cha_count());
+  const core::MapSolver solver(core::SolverEngine::kIlp, options.grid_rows,
+                               options.grid_cols, options);
+  const core::MapSolveResult filled = solver.solve(obs, config.cha_count(), &cache);
   EXPECT_FALSE(filled.cache_hit);
   expect_same_solve(cold, filled);
   EXPECT_EQ(cache.size(), 1u);
 
-  const core::MapSolveResult hit = solver.solve(obs, config.cha_count());
+  const core::MapSolveResult hit = solver.solve(obs, config.cha_count(), &cache);
   EXPECT_TRUE(hit.cache_hit);
   expect_same_solve(cold, hit);
 
   core::MapSolveResult probed;
-  ASSERT_TRUE(solver.probe_cache(obs, config.cha_count(), probed));
+  ASSERT_TRUE(solver.probe_cache(obs, config.cha_count(), cache, probed));
   expect_same_solve(cold, probed);
 }
 
@@ -342,13 +340,13 @@ TEST(SolutionCacheSolver, WarmStartNeverChangesTheMap) {
   ASSERT_TRUE(cold.success) << cold.message;
 
   SolutionCache cache;
-  options.solution_cache = &cache;
   options.warm_start = true;
-  const core::IlpMapSolver solver(options);
-  ASSERT_TRUE(solver.solve(obs_a, config.cha_count()).success);
+  const core::MapSolver solver(core::SolverEngine::kIlp, options.grid_rows,
+                               options.grid_cols, options);
+  ASSERT_TRUE(solver.solve(obs_a, config.cha_count(), &cache).success);
   EXPECT_EQ(cache.size(), 1u);  // obs_a's answer seeds the warm start
 
-  const core::MapSolveResult warmed = solver.solve(obs_b, config.cha_count());
+  const core::MapSolveResult warmed = solver.solve(obs_b, config.cha_count(), &cache);
   ASSERT_TRUE(warmed.success) << warmed.message;
   EXPECT_FALSE(warmed.cache_hit);  // different signature: a true miss
   EXPECT_EQ(cold.cha_position, warmed.cha_position);

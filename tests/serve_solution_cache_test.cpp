@@ -1,9 +1,7 @@
 // The serving layer's solution-cache contract: probing/filling the
 // solver-level ilp::SolutionCache around batch dispatch never changes a
-// response byte, at any worker count — and the probe/store primitives
-// agree on the key.
-
-#include "serve/batcher.hpp"
+// response byte, for any engine at any worker count — and the
+// core::MapSolver probe/store primitives agree on the engine-salted key.
 
 #include <gtest/gtest.h>
 
@@ -35,7 +33,7 @@ struct ReplayOutcome {
   std::size_t cache_entries = 0;
 };
 
-ReplayOutcome replay(int jobs, bool solution_cache) {
+ReplayOutcome replay(core::SolverEngine engine, int jobs, bool solution_cache) {
   const Loadgen loadgen(stream_options());
   std::ostringstream log;
   ServiceOptions options;
@@ -43,7 +41,7 @@ ReplayOutcome replay(int jobs, bool solution_cache) {
   options.batch_max = 64;
   options.cache_capacity = 1;  // starve the map cache: solver sees repeats
   options.cache_shards = 1;
-  options.engine = core::SolverEngine::kDecomposed;
+  options.engine = engine;
   options.solution_cache = solution_cache;
   options.log_stream = &log;
   Service service(options);
@@ -63,44 +61,76 @@ ReplayOutcome replay(int jobs, bool solution_cache) {
 }
 
 TEST(ServeSolutionCache, OnOffByteIdenticalAcrossWorkerCounts) {
-  const ReplayOutcome baseline = replay(1, false);
-  ASSERT_FALSE(baseline.log_bytes.empty());
-  EXPECT_EQ(baseline.cache_entries, 0u);
+  for (const core::SolverEngine engine :
+       {core::SolverEngine::kDecomposed, core::SolverEngine::kRefined}) {
+    SCOPED_TRACE(std::string("engine=") + core::engine_token(engine));
+    const ReplayOutcome baseline = replay(engine, 1, false);
+    ASSERT_FALSE(baseline.log_bytes.empty());
+    EXPECT_EQ(baseline.cache_entries, 0u);
 
-  for (const int jobs : {1, 4, 8}) {
-    SCOPED_TRACE("jobs=" + std::to_string(jobs));
-    const ReplayOutcome cached = replay(jobs, true);
-    EXPECT_EQ(cached.log_bytes, baseline.log_bytes);
-    EXPECT_EQ(cached.checksum, baseline.checksum);
-    EXPECT_GT(cached.cache_entries, 0u);
+    for (const int jobs : {1, 4, 8}) {
+      SCOPED_TRACE("jobs=" + std::to_string(jobs));
+      const ReplayOutcome cached = replay(engine, jobs, true);
+      EXPECT_EQ(cached.log_bytes, baseline.log_bytes);
+      EXPECT_EQ(cached.checksum, baseline.checksum);
+      EXPECT_GT(cached.cache_entries, 0u);
+    }
+    // The starved map cache guarantees the solver re-sees signatures, so
+    // at least one replay must have come from the solution cache.
+    EXPECT_GT(replay(engine, 1, true).solution_hits, 0u);
   }
-  // The starved map cache guarantees the solver re-sees signatures, so
-  // at least one replay must have come from the solution cache.
-  EXPECT_GT(replay(1, true).solution_hits, 0u);
 }
 
 TEST(ServeSolutionCache, ProbeStorePrimitivesShareTheKey) {
   const sim::InstanceFactory factory(sim::InstanceFactory::kDefaultFleetSeed);
   const MappingRequest request =
       synthesize_client(sim::XeonModel::k8259CL, 13, factory);
+  const sim::ModelSpec& spec = sim::spec_for(request.model);
+  const core::ObservationSet& observations = *request.observations;
+  const core::MapSolver decomposed(core::SolverEngine::kDecomposed, spec.die.rows,
+                                   spec.die.cols);
+  const core::MapSolver refined(core::SolverEngine::kRefined, spec.die.rows,
+                                spec.die.cols);
 
   ilp::SolutionCache cache;
   core::MapSolveResult solved;
-  EXPECT_FALSE(probe_solution(request, core::SolverEngine::kDecomposed, cache, solved));
+  EXPECT_FALSE(decomposed.probe_cache(observations, request.cha_count, cache, solved));
 
-  const core::MapSolveResult cold =
-      solve_mapping(request, core::SolverEngine::kDecomposed);
+  const core::MapSolveResult cold = decomposed.solve(observations, request.cha_count);
   ASSERT_TRUE(cold.success) << cold.message;
-  store_solution(request, core::SolverEngine::kDecomposed, cache, cold);
+  decomposed.store_cache(observations, request.cha_count, cache, cold);
   EXPECT_EQ(cache.size(), 1u);
 
-  ASSERT_TRUE(probe_solution(request, core::SolverEngine::kDecomposed, cache, solved));
+  ASSERT_TRUE(decomposed.probe_cache(observations, request.cha_count, cache, solved));
   EXPECT_TRUE(solved.cache_hit);
   EXPECT_EQ(solved.cha_position, cold.cha_position);
   EXPECT_EQ(solved.nodes, cold.nodes);
 
-  // The refined engine never consults the cache, even on a stored key.
-  EXPECT_FALSE(probe_solution(request, core::SolverEngine::kRefined, cache, solved));
+  // Keys are engine-salted: a refined probe misses on the decomposed
+  // entry, then hits byte for byte once a refined result is stored.
+  EXPECT_FALSE(refined.probe_cache(observations, request.cha_count, cache, solved));
+  const core::MapSolveResult refined_cold =
+      refined.solve(observations, request.cha_count);
+  ASSERT_TRUE(refined_cold.success) << refined_cold.message;
+  refined.store_cache(observations, request.cha_count, cache, refined_cold);
+  EXPECT_EQ(cache.size(), 2u);
+  core::MapSolveResult replayed;
+  ASSERT_TRUE(refined.probe_cache(observations, request.cha_count, cache, replayed));
+  EXPECT_TRUE(replayed.cache_hit);
+  EXPECT_EQ(replayed.success, refined_cold.success);
+  EXPECT_EQ(replayed.message, refined_cold.message);
+  EXPECT_EQ(replayed.cha_position, refined_cold.cha_position);
+  EXPECT_EQ(replayed.nodes, refined_cold.nodes);
+  EXPECT_EQ(replayed.lp_iterations, refined_cold.lp_iterations);
+  EXPECT_EQ(replayed.nodes_pruned, refined_cold.nodes_pruned);
+  EXPECT_EQ(replayed.lp_solves_avoided, refined_cold.lp_solves_avoided);
+
+  // solve() with the cache attached takes the same hit.
+  const core::MapSolveResult attached =
+      refined.solve(observations, request.cha_count, &cache);
+  EXPECT_TRUE(attached.cache_hit);
+  EXPECT_EQ(attached.cha_position, refined_cold.cha_position);
+  EXPECT_EQ(attached.message, refined_cold.message);
 }
 
 }  // namespace
