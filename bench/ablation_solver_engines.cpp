@@ -65,9 +65,6 @@ int main(int argc, char** argv) {
       .add("presolve", "0|1",
            "run ilp::presolve before branch & bound on the ILP engines "
            "(default 0)")
-      .add("warm-start", "0|1",
-           "seed the ILP engines from the Hamming-nearest cached solution "
-           "(needs --solution-cache 1; default 0)")
       .add("solution-cache", "0|1",
            "attach a run-local solver solution cache to every engine "
            "(default 0)");
@@ -76,7 +73,6 @@ int main(int argc, char** argv) {
   if (flags.handle_help(spec, std::cout)) return 0;
   const bool skip_paper = flags.get_bool("skip-paper-objective", false);
   const bool use_presolve = flags.get_bool("presolve", false);
-  const bool use_warm_start = flags.get_bool("warm-start", false);
   ilp::SolutionCache solution_cache;
   ilp::SolutionCache* cache_ptr =
       flags.get_bool("solution-cache", false) ? &solution_cache : nullptr;
@@ -114,7 +110,6 @@ int main(int argc, char** argv) {
     options.objective = core::IlpObjective::kCompactSum;
     options.max_observations = 40;
     options.milp.presolve = use_presolve;
-    options.warm_start = use_warm_start;
     const core::MapSolver solver(core::SolverEngine::kIlp, config.grid.rows(),
                                  config.grid.cols(), options);
     const EngineResult r = timed(
@@ -132,7 +127,6 @@ int main(int argc, char** argv) {
     options.objective = core::IlpObjective::kPaperIndicators;
     options.max_observations = 40;
     options.milp.presolve = use_presolve;
-    options.warm_start = use_warm_start;
     const core::MapSolver solver(core::SolverEngine::kIlp, config.grid.rows(),
                                  config.grid.cols(), options);
     const EngineResult r = timed(

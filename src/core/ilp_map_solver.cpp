@@ -221,59 +221,6 @@ Model IlpMapSolver::build_model(const ObservationSet& observations, int cha_coun
   return model;
 }
 
-std::vector<double> IlpMapSolver::warm_assignment(
-    const std::vector<std::pair<int, int>>& positions,
-    const ObservationSet& observations, int cha_count) const {
-  const int th = options_.grid_rows;
-  const int tw = options_.grid_cols;
-  if (positions.size() != static_cast<std::size_t>(cha_count)) return {};
-  for (const auto& [row, col] : positions) {
-    if (row < 0 || row >= th || col < 0 || col >= tw) return {};
-  }
-
-  // Mirror build_model's variable order exactly: R_i/C_i pairs, then
-  // NE/NW per selected horizontal path, then (paper objective only)
-  // OHR/OHC blocks per CHA and the RI/CI indicators.
-  std::vector<double> values;
-  values.reserve(static_cast<std::size_t>(2 * cha_count));
-  for (int i = 0; i < cha_count; ++i) {
-    values.push_back(static_cast<double>(positions[static_cast<std::size_t>(i)].first));
-    values.push_back(static_cast<double>(positions[static_cast<std::size_t>(i)].second));
-  }
-  for (const PathObservation* obs : select_observations(observations, cha_count)) {
-    if (!obs->has_horizontal()) continue;
-    const int cs = positions[static_cast<std::size_t>(obs->source_cha)].second;
-    const int ce = positions[static_cast<std::size_t>(obs->sink_cha)].second;
-    // Eastbound (cs < ce) voids the westbound rows via NW=1 and vice
-    // versa. cs == ce is infeasible for a horizontal path; emit either
-    // setting and let the feasibility check reject the whole warm start.
-    const bool eastbound = cs < ce;
-    values.push_back(eastbound ? 0.0 : 1.0);  // NE
-    values.push_back(eastbound ? 1.0 : 0.0);  // NW
-  }
-  if (options_.objective == IlpObjective::kPaperIndicators) {
-    for (int i = 0; i < cha_count; ++i) {
-      for (int r = 0; r < th; ++r) {
-        values.push_back(positions[static_cast<std::size_t>(i)].first == r ? 1.0 : 0.0);
-      }
-      for (int c = 0; c < tw; ++c) {
-        values.push_back(positions[static_cast<std::size_t>(i)].second == c ? 1.0 : 0.0);
-      }
-    }
-    for (int r = 0; r < th; ++r) {
-      bool occupied = false;
-      for (const auto& [row, col] : positions) occupied = occupied || row == r;
-      values.push_back(occupied ? 1.0 : 0.0);
-    }
-    for (int c = 0; c < tw; ++c) {
-      bool occupied = false;
-      for (const auto& [row, col] : positions) occupied = occupied || col == c;
-      values.push_back(occupied ? 1.0 : 0.0);
-    }
-  }
-  return values;
-}
-
 MapSolveResult IlpMapSolver::solve(const ObservationSet& observations,
                                    int cha_count) const {
   obs::Span span("ilp_map_solve", "core");
@@ -299,18 +246,7 @@ MapSolveResult IlpMapSolver::solve(const ObservationSet& observations,
     }
   }
 
-  ilp::MilpOptions milp = options_.milp;
-  if (options_.warm_start && options_.solution_cache != nullptr &&
-      !options_.solution_cache->empty()) {
-    const ilp::SolutionCache::Entry* neighbor =
-        options_.solution_cache->nearest(observation_sketch(observations));
-    if (neighbor != nullptr && neighbor->solution.success) {
-      milp.warm_start =
-          warm_assignment(neighbor->solution.positions, observations, cha_count);
-    }
-  }
-
-  const ilp::MilpSolution solution = ilp::solve_milp(model, milp);
+  const ilp::MilpSolution solution = ilp::solve_milp(model, options_.milp);
   result.nodes = solution.nodes_explored;
   result.lp_iterations = solution.lp_iterations;
   result.nodes_pruned = solution.nodes_pruned;

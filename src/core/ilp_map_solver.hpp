@@ -24,7 +24,6 @@
 #include "core/observation.hpp"
 #include "ilp/branch_and_bound.hpp"
 #include "ilp/model_check.hpp"
-#include "ilp/solution_cache.hpp"
 #include "mesh/grid.hpp"
 
 namespace corelocate::core {
@@ -68,13 +67,6 @@ struct IlpMapSolverOptions {
   /// Defaults on in debug builds, off under NDEBUG.
   bool validate_model = ilp::kValidateModelsByDefault;
   ilp::MilpOptions milp;
-  /// Warm-start source, read only: with `warm_start` set, branch & bound
-  /// is seeded with its Hamming-nearest cached solution as a pruning
-  /// bound (ilp::MilpOptions::warm_start semantics: the returned map is
-  /// identical to a cold solve). MapSolver::solve points it at the cache
-  /// it probes and fills; the engine itself never probes or stores.
-  const ilp::SolutionCache* solution_cache = nullptr;
-  bool warm_start = false;
 };
 
 class IlpMapSolver {
@@ -90,13 +82,6 @@ class IlpMapSolver {
   /// Observation subset the model is built from (max_observations cap).
   std::vector<const PathObservation*> select_observations(
       const ObservationSet& observations, int cha_count) const;
-  /// Lifts cached (row, col) positions into a full model assignment
-  /// (direction binaries, one-hots, indicators) for warm starting.
-  /// Empty when the positions cannot fit this model's shape.
-  std::vector<double> warm_assignment(
-      const std::vector<std::pair<int, int>>& positions,
-      const ObservationSet& observations, int cha_count) const;
-
   IlpMapSolverOptions options_;
 };
 

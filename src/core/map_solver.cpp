@@ -1,5 +1,8 @@
 #include "core/map_solver.hpp"
 
+#include <stdexcept>
+#include <string>
+
 #include "core/refinement.hpp"
 #include "ilp/signature.hpp"
 
@@ -89,9 +92,7 @@ MapSolveResult MapSolver::solve(const ObservationSet& observations, int cha_coun
     return result;
   }
   if (engine_ == SolverEngine::kIlp) {
-    IlpMapSolverOptions options = ilp_;
-    options.solution_cache = cache;  // the warm-start source
-    result = IlpMapSolver(std::move(options)).solve(observations, cha_count);
+    result = IlpMapSolver(ilp_).solve(observations, cha_count);
   } else if (engine_ == SolverEngine::kDecomposed) {
     result = DecomposedMapSolver(decomposed_).solve(observations, cha_count);
   } else {
@@ -113,6 +114,18 @@ bool MapSolver::probe_cache(const ObservationSet& observations, int cha_count,
                             const ilp::SolutionCache& cache, MapSolveResult& out) const {
   const ilp::CachedSolution* hit = cache.find(cache_key(observations, cha_count));
   if (hit == nullptr) return false;
+  // The key hashes cha_count and the grid, so only a crafted or foreign
+  // cache file can hold a map that does not fit this request.
+  if (hit->success) {
+    bool fits = hit->positions.size() == static_cast<std::size_t>(cha_count);
+    for (const auto& [row, col] : hit->positions) {
+      fits = fits && row >= 0 && row < ilp_.grid_rows && col >= 0 && col < ilp_.grid_cols;
+    }
+    if (!fits) {
+      throw std::runtime_error("MapSolver: a cached map does not fit " +
+                               std::to_string(cha_count) + " CHAs on this grid");
+    }
+  }
   out = replay_cached_solution(*hit);
   return true;
 }
@@ -120,19 +133,15 @@ bool MapSolver::probe_cache(const ObservationSet& observations, int cha_count,
 void MapSolver::store_cache(const ObservationSet& observations, int cha_count,
                             ilp::SolutionCache& cache,
                             const MapSolveResult& result) const {
-  // Only the ILP's warm start reads sketches; skip the vote pass otherwise.
-  const bool sketched = engine_ == SolverEngine::kIlp && ilp_.warm_start;
-  cache.insert(cache_key(observations, cha_count),
-               sketched ? observation_sketch(observations) : ilp::SimhashSketch{},
-               to_cached_solution(result));
+  cache.insert(cache_key(observations, cha_count), to_cached_solution(result));
 }
 
 std::uint64_t MapSolver::cache_key(const ObservationSet& observations,
                                    int cha_count) const {
   // Engine salt, observation signature, then every option that can change
   // the answer. Salts and field order are load-bearing: saved caches must
-  // keep matching. presolve and warm_start never change an answer, so
-  // entries are shared across those modes.
+  // keep matching. presolve never changes an answer, so entries are
+  // shared across presolve modes.
   const std::uint64_t signature = observation_signature(observations);
   if (engine_ == SolverEngine::kIlp) {
     ilp::SignatureBuilder builder(0x11F5A9C3D02B71E4ULL);

@@ -19,6 +19,7 @@
 
 #include "core/decomposed_map_solver.hpp"
 #include "core/ilp_map_solver.hpp"
+#include "ilp/solution_cache.hpp"
 
 namespace corelocate::core {
 
@@ -56,7 +57,10 @@ class MapSolver {
 
   /// The two halves of solve()'s cache rule, for callers whose parallel
   /// solves run cache-free and touch the cache only in serial phases
-  /// (serve's batcher).
+  /// (serve's batcher). A hit that claims success with a position count
+  /// other than `cha_count`, or with a position off the grid, throws
+  /// std::runtime_error (solve() too): only a crafted or foreign cache
+  /// file can hold one.
   bool probe_cache(const ObservationSet& observations, int cha_count,
                    const ilp::SolutionCache& cache, MapSolveResult& out) const;
   void store_cache(const ObservationSet& observations, int cha_count,

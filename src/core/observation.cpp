@@ -4,6 +4,8 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "ilp/signature.hpp"
+
 namespace corelocate::core {
 
 bool PathObservation::has_vertical() const noexcept {
@@ -173,10 +175,10 @@ ConsistencyReport check_consistency(const std::vector<mesh::Coord>& positions,
 
 namespace {
 
-/// One digest per observation, the shared input of both the exact
-/// signature and the simhash sketch. The salts and field order are
-/// load-bearing: serve's fingerprint layer historically produced these
-/// exact values, and stored cache keys must keep matching.
+/// One digest per observation, folded order-invariantly into the
+/// signature. The salts and field order are load-bearing: serve's
+/// fingerprint layer historically produced these exact values, and
+/// stored cache keys must keep matching.
 std::vector<std::uint64_t> observation_digests(const ObservationSet& observations) {
   std::vector<std::uint64_t> digests;
   digests.reserve(observations.size());
@@ -204,10 +206,6 @@ std::vector<std::uint64_t> observation_digests(const ObservationSet& observation
 
 std::uint64_t observation_signature(const ObservationSet& observations) {
   return ilp::combine_unordered(observation_digests(observations));
-}
-
-ilp::SimhashSketch observation_sketch(const ObservationSet& observations) {
-  return ilp::combine_simhash(observation_digests(observations));
 }
 
 ObservationSet synthesize_observations(const sim::InstanceConfig& config,

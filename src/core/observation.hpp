@@ -11,7 +11,6 @@
 #include <string>
 #include <vector>
 
-#include "ilp/signature.hpp"
 #include "mesh/routing.hpp"
 #include "sim/instance_factory.hpp"
 
@@ -58,14 +57,9 @@ std::string validate_observations(const ObservationSet& observations, int cha_co
 /// each observation hashes its fields in order (activations sorted,
 /// because PMON readout order is a measurement artifact) and the
 /// per-observation digests fold order-invariantly. This is the
-/// ilp::SolutionCache key; serve's fingerprint layer forwards here so
-/// both produce identical values.
+/// ilp::SolutionCache key and the signature half of serve's instance
+/// fingerprint.
 std::uint64_t observation_signature(const ObservationSet& observations);
-
-/// Simhash sketch over the same per-observation digests, for the
-/// solution cache's Hamming-nearest warm-start lookup: observation sets
-/// differing in a few probes land a few bits apart.
-ilp::SimhashSketch observation_sketch(const ObservationSet& observations);
 
 /// One ingress a candidate placement implies: re-routed on the placed
 /// grid, observation `observation`'s path enters the tile of CHA `cha` on

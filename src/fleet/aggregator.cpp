@@ -18,12 +18,6 @@ void Aggregator::add(std::size_t worker, InstanceRecord record) {
   } else {
     ++bucket.failed;
   }
-  if (!record.from_checkpoint) {
-    bucket.step1.add(record.step1_seconds);
-    bucket.step2.add(record.step2_seconds);
-    bucket.step3.add(record.step3_seconds);
-    bucket.wall.add(record.wall_seconds);
-  }
   for (const auto& [key, value] : record.metrics) {
     bucket.metric_totals[key].add(value);
   }
@@ -37,10 +31,6 @@ AggregateResult Aggregator::merge() CORELOCATE_SERIAL_PHASE {
     util::ReentryGuard::Scope scope(bucket.entry_guard, "Aggregator merge");
     result.patterns.merge(bucket.patterns);
     result.id_mappings.merge(bucket.id_mappings);
-    result.step1.merge(bucket.step1);
-    result.step2.merge(bucket.step2);
-    result.step3.merge(bucket.step3);
-    result.wall.merge(bucket.wall);
     result.completed += bucket.completed;
     result.failed += bucket.failed;
     for (const auto& [key, sum] : bucket.metric_totals) {

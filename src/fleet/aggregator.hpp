@@ -10,9 +10,9 @@
 // fold-order independent — merged parallel stats equal serial stats
 // exactly. Floating-point metric totals stream through util::ExactSum,
 // whose fixed-point accumulation is order-independent too, so the
-// barrier folds per-worker partials instead of retaining rows. Timing
-// accumulators are merged per-worker (last-ulp variation is fine for
-// throughput reporting; they never feed the reproduced tables).
+// barrier folds per-worker partials instead of retaining rows. Stage
+// timings are not aggregated here: the survey's obs::Registry carries
+// them (fleet.step*_seconds), outside the reproduced tables.
 //
 // Memory: aggregation is streaming end to end. With keep_records off
 // (the fleet shard/bench path) the aggregator holds O(workers x
@@ -27,7 +27,6 @@
 #include "fleet/survey_record.hpp"
 #include "util/exact_sum.hpp"
 #include "util/lockcheck.hpp"
-#include "util/stats.hpp"
 
 namespace corelocate::fleet {
 
@@ -37,7 +36,6 @@ struct AggregateResult {
   core::PatternStats patterns;          ///< successful instances only
   core::IdMappingStats id_mappings;     ///< successful instances only
   std::map<std::string, double> metric_totals;  ///< exact order-free sums
-  util::RunningStats step1, step2, step3, wall;
   int completed = 0;
   int failed = 0;
 };
@@ -67,7 +65,6 @@ class Aggregator {
     core::PatternStats patterns;
     core::IdMappingStats id_mappings;
     std::map<std::string, util::ExactSum> metric_totals;
-    util::RunningStats step1, step2, step3, wall;
     int completed = 0;
     int failed = 0;
     /// Catches two threads inside the same bucket at once — the misuse

@@ -25,14 +25,9 @@ void ProgressMeter::note_resumed(int count) {
   if (emit_ && acc_.done == total_ && total_ > 0) emit_final_locked();
 }
 
-void ProgressMeter::instance_done(double step1_s, double step2_s, double step3_s,
-                                  double wall_s) {
+void ProgressMeter::instance_done(double wall_s) {
   util::LockGuard lock(mutex_);
   ++acc_.done;
-  acc_.step1.add(step1_s);
-  acc_.step2.add(step2_s);
-  acc_.step3.add(step3_s);
-  acc_.wall.add(wall_s);
   acc_.wall_hist.add(wall_s);
   if (!emit_) return;
   if (acc_.done == total_) {

@@ -1,8 +1,8 @@
 #pragma once
-// Progress and metrics surface for fleet surveys: instances/sec, ETA and
-// per-stage latency distributions, emitted through util::log so bench
-// stdout (the tables being reproduced) stays clean. All clock reads go
-// through obs::Clock, the codebase's sanctioned wall-clock source.
+// Progress surface for fleet surveys: instances/sec, ETA and the median
+// instance latency, emitted through util::log so bench stdout (the
+// tables being reproduced) stays clean. All clock reads go through
+// obs::Clock, the codebase's sanctioned wall-clock source.
 
 #include <cstddef>
 #include <mutex>
@@ -22,10 +22,7 @@ struct ProgressSummary {
   double elapsed_seconds = 0.0;
   double instances_per_second = 0.0;  ///< computed instances only
   double eta_seconds = 0.0;
-  util::RunningStats step1;  ///< CHA-mapping stage latency [s]
-  util::RunningStats step2;  ///< traffic-probing stage latency [s]
-  util::RunningStats step3;  ///< solver stage latency [s]
-  util::RunningStats wall;   ///< whole-instance latency [s]
+  /// Whole-instance latency [s], for the progress line's p50.
   util::Histogram wall_hist{0.0, kHistRangeSeconds, kHistBins};
 
   static constexpr double kHistRangeSeconds = 10.0;
@@ -47,7 +44,7 @@ class ProgressMeter {
   /// Accounts instances that resume from a checkpoint (not recomputed).
   void note_resumed(int count);
 
-  void instance_done(double step1_s, double step2_s, double step3_s, double wall_s);
+  void instance_done(double wall_s);
 
   ProgressSummary summary() const;
 

@@ -107,7 +107,7 @@ SurveyResult merge_shards(sim::XeonModel model, const MergeOptions& options) {
         paths.segment, range.first, range.count, options.survey.base_seed,
         [&](InstanceRecord record) {
           if (options.survey.record_sink) options.survey.record_sink(record);
-          meter.instance_done(0.0, 0.0, 0.0, 0.0);
+          meter.instance_done(0.0);
           aggregator.add(0, std::move(record));
         },
         &stats);

@@ -213,8 +213,7 @@ SurveyResult run_survey(sim::XeonModel model, const SurveyOptions& options) {
         run_instance(task, options.analyze,
                      worker_caches.empty() ? nullptr : &worker_caches[worker]);
     if (sink) sink->deliver(record);
-    meter.instance_done(record.step1_seconds, record.step2_seconds,
-                        record.step3_seconds, record.wall_seconds);
+    meter.instance_done(record.wall_seconds);
     observe_record(registries[worker], record);
     aggregator.add(worker, std::move(record));
   };
@@ -281,10 +280,6 @@ SurveyResult run_survey(sim::XeonModel model, const SurveyOptions& options) {
   result.failed = merged.failed;
   result.resumed = resumed;
   result.timing = meter.summary();
-  result.timing.step1 = merged.step1;
-  result.timing.step2 = merged.step2;
-  result.timing.step3 = merged.step3;
-  result.timing.wall = merged.wall;
   // Worker registries merge in worker order; every fold is exact, so the
   // merged registry is a pure function of the record set.
   for (const obs::Registry& registry : registries) result.registry.merge(registry);

@@ -77,10 +77,8 @@ struct SurveyOptions {
   bool resume = false;  ///< continue the segment at checkpoint_dir
   bool progress = false;       ///< emit progress lines via util::log (info level)
   /// Optional cross-instance solution cache. Every worker runs with a
-  /// private copy seeded from it (exact-hit replay only — the fleet
-  /// never warm-starts, which would make node counts depend on the work
-  /// partition); at aggregation the copies merge back into it in worker
-  /// order. A hit replays the cold solve byte for byte, so records —
+  /// private copy seeded from it; at aggregation the copies merge back
+  /// into it in worker order. A hit replays the cold solve byte for byte, so records —
   /// and the merged cache contents — stay jobs-N == jobs-1 identical.
   /// Not owned.
   ilp::SolutionCache* solution_cache = nullptr;
@@ -112,7 +110,7 @@ struct SurveyResult {
   int failed = 0;
   int resumed = 0;    ///< instances loaded from the checkpoint
   double wall_seconds = 0.0;  ///< whole-survey wall clock
-  ProgressSummary timing;     ///< per-stage latency + throughput
+  ProgressSummary timing;     ///< throughput + instance latency
   /// Observability metrics, merged from per-worker registries at the
   /// join barrier. Deterministic counters/stats (instances, failures,
   /// solver nodes/pivots) are bit-identical for jobs-N vs jobs-1; the

@@ -269,23 +269,6 @@ MilpSolution run_search(const Model& model, const MilpOptions& options) {
   // row on every node.
   LpProblem lp = relax(model, nullptr, nullptr);
 
-  // Warm start: a feasible point's objective is a valid upper bound on
-  // the optimum, so subtrees strictly worse than it can go — and
-  // because every subtree that could still contain the cold solve's
-  // answer survives (its relaxation is <= the optimum <= the bound),
-  // the search returns exactly what a cold run would.
-  bool warm_active = false;
-  double warm_obj = 0.0;
-  if (options.warm_start.size() ==
-          static_cast<std::size_t>(model.variable_count()) &&
-      model.is_feasible(options.warm_start, options.int_tol)) {
-    warm_active = true;
-    for (int j = 0; j < model.variable_count(); ++j) {
-      warm_obj += lp.objective[static_cast<std::size_t>(j)] *
-                  options.warm_start[static_cast<std::size_t>(j)];
-    }
-  }
-
   const OneHotSystem one_hot = build_one_hot_system(model, options.int_tol);
   std::vector<std::uint64_t> scratch_ones;
   std::vector<std::uint64_t> scratch_avail;
@@ -344,9 +327,6 @@ MilpSolution run_search(const Model& model, const MilpOptions& options) {
     if (have_incumbent && node_obj >= incumbent_obj - options.gap_tol) {
       continue;  // bound: cannot improve on the incumbent
     }
-    if (warm_active && node_obj >= warm_obj + options.gap_tol) {
-      continue;  // bound: strictly worse than the known feasible point
-    }
 
     const int branch_var = pick_branch_var(model, node_values, options.int_tol);
     if (branch_var < 0) {
@@ -387,13 +367,6 @@ MilpSolution run_search(const Model& model, const MilpOptions& options) {
     result.status = truncated ? MilpStatus::kNodeLimit : MilpStatus::kOptimal;
     result.values = std::move(incumbent);
     result.objective = sense_sign * incumbent_obj;
-  } else if (truncated && warm_active) {
-    // Truncated with nothing of our own: the warm assignment is the best
-    // feasible point we can prove. (A finished search never takes this
-    // path, preserving cold-solve identity.)
-    result.status = MilpStatus::kNodeLimit;
-    result.values = options.warm_start;
-    result.objective = sense_sign * warm_obj;
   } else {
     result.status = truncated ? MilpStatus::kNoSolution : MilpStatus::kInfeasible;
   }
@@ -419,27 +392,6 @@ MilpSolution BranchAndBoundSolver::solve(const Model& model) const {
     } else {
       MilpOptions reduced_options = options_;
       reduced_options.presolve = false;
-      // Map the warm start into the reduced space; if it contradicts a
-      // fixing, is_feasible rejects it there, matching the full model.
-      if (options_.warm_start.size() ==
-          static_cast<std::size_t>(model.variable_count())) {
-        std::vector<double> reduced_warm(
-            static_cast<std::size_t>(pre.reduced.variable_count()), 0.0);
-        bool consistent = true;
-        for (std::size_t j = 0; j < pre.var_map.size(); ++j) {
-          const int target = pre.var_map[j];
-          if (target >= 0) {
-            reduced_warm[static_cast<std::size_t>(target)] =
-                options_.warm_start[j];
-          } else if (std::abs(options_.warm_start[j] - pre.fixed_value[j]) >
-                     options_.int_tol) {
-            consistent = false;
-            break;
-          }
-        }
-        reduced_options.warm_start =
-            consistent ? std::move(reduced_warm) : std::vector<double>{};
-      }
       result = run_search(pre.reduced, reduced_options);
       if (!result.values.empty()) {
         result.values = pre.restore(result.values);

@@ -7,7 +7,7 @@
 // toward the structural NE/NW direction binaries before the one-hot
 // bookkeeping variables.
 //
-// Three speed layers sit on top of the plain search:
+// Two speed layers sit on top of the plain search:
 //
 //   * presolve (MilpOptions::presolve): interval-propagation reductions
 //     from ilp/presolve.hpp run first and the search works the reduced
@@ -18,13 +18,6 @@
 //     branching decisions through them to a fixpoint — siblings of an
 //     assigned binary drop to zero, last-available members snap to one,
 //     and contradictions prune the node with no LP solve at all.
-//   * warm starts (MilpOptions::warm_start): a feasible assignment
-//     whose objective is used as an extra pruning *bound*. It is never
-//     adopted as an incumbent while the search runs, so the returned
-//     solution is identical to a cold solve (the bound only removes
-//     subtrees that are strictly worse than a known feasible point);
-//     only a truncated search with no incumbent of its own falls back
-//     to returning the warm assignment.
 
 #include <cstdint>
 #include <vector>
@@ -67,13 +60,7 @@ struct MilpOptions {
   SimplexOptions lp;
   /// Run ilp::presolve reductions before the search.
   bool presolve = false;
-  /// Warm-start assignment in the model's variable order (empty = none;
-  /// ignored unless it is a feasible point of `model`). Bound-only — see
-  /// the header comment for the exactness contract.
-  std::vector<double> warm_start;
   /// Optional metrics sink: ilp.bnb.* and ilp.presolve.* counters.
-  /// Leave null in fleet workers — node counts depend on warm starts and
-  /// would break the merged-registry partition-independence contract.
   obs::Registry* registry = nullptr;
 };
 

@@ -48,44 +48,4 @@ std::uint64_t combine_unordered(std::vector<std::uint64_t> element_digests) noex
   return builder.digest();
 }
 
-SimhashSketch combine_simhash(const std::vector<std::uint64_t>& element_digests) noexcept {
-  // Per-bit vote counts; positive means more elements set the bit than
-  // cleared it. 16-bit-safe: vote magnitude is bounded by the element
-  // count, which int comfortably holds.
-  std::array<int, 256> votes{};
-  for (const std::uint64_t digest : element_digests) {
-    for (int word = 0; word < 4; ++word) {
-      const std::uint64_t expanded =
-          util::mix64(digest ^ (0x9E3779B97F4A7C15ULL * static_cast<std::uint64_t>(word + 1)));
-      for (int bit = 0; bit < 64; ++bit) {
-        votes[static_cast<std::size_t>(word * 64 + bit)] +=
-            ((expanded >> bit) & 1u) ? 1 : -1;
-      }
-    }
-  }
-  SimhashSketch sketch{};
-  for (int word = 0; word < 4; ++word) {
-    std::uint64_t packed = 0;
-    for (int bit = 0; bit < 64; ++bit) {
-      if (votes[static_cast<std::size_t>(word * 64 + bit)] > 0) {
-        packed |= std::uint64_t{1} << bit;
-      }
-    }
-    sketch[static_cast<std::size_t>(word)] = packed;
-  }
-  return sketch;
-}
-
-int hamming_distance(const SimhashSketch& a, const SimhashSketch& b) noexcept {
-  int distance = 0;
-  for (std::size_t word = 0; word < a.size(); ++word) {
-    std::uint64_t diff = a[word] ^ b[word];
-    while (diff != 0) {
-      diff &= diff - 1;
-      ++distance;
-    }
-  }
-  return distance;
-}
-
 }  // namespace corelocate::ilp

@@ -4,7 +4,7 @@
 // The paper's fleet survey shows that solver inputs repeat massively
 // across instances (8124M/8175M share one OS<->CHA map across 100
 // machines; 8259CL has 7 variants), so both the serving layer's map
-// cache and future solver warm-starts key on a *signature* of the
+// cache and the solver's solution cache key on a *signature* of the
 // observation set rather than on instance identity. Two requirements:
 //
 //   * deterministic: a pure function of the input values, no pointers,
@@ -19,7 +19,6 @@
 // sorting them first, which makes the result permutation-invariant
 // without losing multiplicity.
 
-#include <array>
 #include <cstdint>
 #include <string_view>
 #include <vector>
@@ -46,20 +45,5 @@ class SignatureBuilder {
 /// chain-hashes the sorted sequence (length included, so {a} and {a,a}
 /// differ). The inputs are consumed by value so callers can move.
 std::uint64_t combine_unordered(std::vector<std::uint64_t> element_digests) noexcept;
-
-/// 256-bit simhash sketch of a digest set. Each element digest is
-/// expanded to four words with the SplitMix64 finalizer and every bit
-/// votes +1/-1 on the corresponding sketch bit; the sketch keeps the
-/// majority. Unlike combine_unordered — whose avalanche makes any two
-/// distinct sets maximally far apart — sets sharing most elements land
-/// at small Hamming distance, which is what the solution cache's
-/// warm-start nearest-neighbour lookup needs. Permutation-invariant by
-/// construction (voting commutes).
-using SimhashSketch = std::array<std::uint64_t, 4>;
-
-SimhashSketch combine_simhash(const std::vector<std::uint64_t>& element_digests) noexcept;
-
-/// Number of differing bits between two sketches (0..256).
-int hamming_distance(const SimhashSketch& a, const SimhashSketch& b) noexcept;
 
 }  // namespace corelocate::ilp

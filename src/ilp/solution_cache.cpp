@@ -1,7 +1,9 @@
 #include "ilp/solution_cache.hpp"
 
 #include <filesystem>
+#include <limits>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "recordio/reader.hpp"
@@ -13,7 +15,6 @@ namespace {
 
 enum Column : std::size_t {
   kSignature = 0,  // map keys ascend, so delta coding packs tightly
-  kSketch,         // 32 bytes, little-endian words
   kSuccess,
   kPositions,  // (row, col) interleaved
   kMessage,
@@ -28,7 +29,6 @@ const recordio::Schema& cache_schema() {
   using recordio::FieldType;
   static const recordio::Schema schema = {
       {"signature", FieldType::kDeltaU64},
-      {"sketch", FieldType::kBytes},
       {"success", FieldType::kU64},
       {"positions", FieldType::kI64List},
       {"message", FieldType::kBytes},
@@ -40,82 +40,66 @@ const recordio::Schema& cache_schema() {
   return schema;
 }
 
-std::string encode_sketch(const SimhashSketch& sketch) {
-  std::string bytes;
-  bytes.reserve(sketch.size() * 8);
-  for (const std::uint64_t word : sketch) recordio::put_u64(bytes, word);
-  return bytes;
+[[noreturn]] void refuse(const std::string& path, const std::string& what) {
+  throw std::runtime_error("SolutionCache: " + path + ": " + what);
 }
 
-SimhashSketch decode_sketch(const std::string& bytes) {
-  SimhashSketch sketch{};
-  if (bytes.size() != sketch.size() * 8) {
-    throw std::runtime_error("SolutionCache: cache entry has a malformed sketch");
+int load_coordinate(const std::string& path, std::int64_t value) {
+  if (value < 0 || value > std::numeric_limits<int>::max()) {
+    refuse(path, "coordinate " + std::to_string(value) + " is outside [0, INT_MAX]");
   }
-  std::size_t pos = 0;
-  for (std::uint64_t& word : sketch) word = recordio::get_u64(bytes, &pos);
-  return sketch;
+  return static_cast<int>(value);
+}
+
+std::int64_t load_counter(const std::string& path, const recordio::Row& row,
+                          Column column) {
+  const std::uint64_t value = std::get<std::uint64_t>(row[column]);
+  if (value > static_cast<std::uint64_t>(std::numeric_limits<std::int64_t>::max())) {
+    refuse(path, cache_schema()[column].name + " exceeds INT64_MAX");
+  }
+  return static_cast<std::int64_t>(value);
 }
 
 }  // namespace
 
 const CachedSolution* SolutionCache::find(std::uint64_t signature) const {
   const auto it = entries_.find(signature);
-  return it == entries_.end() ? nullptr : &it->second.solution;
+  return it == entries_.end() ? nullptr : &it->second;
 }
 
-void SolutionCache::insert(std::uint64_t signature, const SimhashSketch& sketch,
-                           CachedSolution solution) {
+void SolutionCache::insert(std::uint64_t signature, CachedSolution solution) {
   if (capacity_ != 0 && entries_.size() >= capacity_ &&
       entries_.find(signature) == entries_.end()) {
     return;
   }
-  entries_.emplace(signature, Entry{sketch, std::move(solution)});
-}
-
-const SolutionCache::Entry* SolutionCache::nearest(const SimhashSketch& sketch) const {
-  const Entry* best = nullptr;
-  int best_distance = 0;
-  // Ascending key order makes the first minimum the smallest signature,
-  // so ties resolve identically for any insertion history.
-  for (const auto& [signature, entry] : entries_) {
-    (void)signature;
-    const int distance = hamming_distance(sketch, entry.sketch);
-    if (best == nullptr || distance < best_distance) {
-      best = &entry;
-      best_distance = distance;
-    }
-  }
-  return best;
+  entries_.emplace(signature, std::move(solution));
 }
 
 void SolutionCache::merge(const SolutionCache& other) {
-  for (const auto& [signature, entry] : other.entries_) {
+  for (const auto& [signature, solution] : other.entries_) {
     if (capacity_ != 0 && entries_.size() >= capacity_) break;
-    entries_.emplace(signature, entry);
+    entries_.emplace(signature, solution);
   }
 }
 
 void SolutionCache::save(const std::string& path) const {
   recordio::RecordWriter writer(path, cache_schema());
-  for (const auto& [signature, entry] : entries_) {
+  for (const auto& [signature, solution] : entries_) {
     recordio::Row row(kColumnCount);
     row[kSignature] = signature;
-    row[kSketch] = encode_sketch(entry.sketch);
-    row[kSuccess] = static_cast<std::uint64_t>(entry.solution.success ? 1 : 0);
+    row[kSuccess] = static_cast<std::uint64_t>(solution.success ? 1 : 0);
     std::vector<std::int64_t> positions;
-    positions.reserve(entry.solution.positions.size() * 2);
-    for (const auto& [pos_row, pos_col] : entry.solution.positions) {
+    positions.reserve(solution.positions.size() * 2);
+    for (const auto& [pos_row, pos_col] : solution.positions) {
       positions.push_back(pos_row);
       positions.push_back(pos_col);
     }
     row[kPositions] = std::move(positions);
-    row[kMessage] = entry.solution.message;
-    row[kNodesExplored] = static_cast<std::uint64_t>(entry.solution.nodes_explored);
-    row[kLpIterations] = static_cast<std::uint64_t>(entry.solution.lp_iterations);
-    row[kNodesPruned] = static_cast<std::uint64_t>(entry.solution.nodes_pruned);
-    row[kLpSolvesAvoided] =
-        static_cast<std::uint64_t>(entry.solution.lp_solves_avoided);
+    row[kMessage] = solution.message;
+    row[kNodesExplored] = static_cast<std::uint64_t>(solution.nodes_explored);
+    row[kLpIterations] = static_cast<std::uint64_t>(solution.lp_iterations);
+    row[kNodesPruned] = static_cast<std::uint64_t>(solution.nodes_pruned);
+    row[kLpSolvesAvoided] = static_cast<std::uint64_t>(solution.lp_solves_avoided);
     writer.append_row(row);
   }
   writer.close();
@@ -125,40 +109,32 @@ std::size_t SolutionCache::load(const std::string& path) {
   if (!std::filesystem::exists(path)) return 0;  // cold start, not an error
   recordio::RecordReader reader(path);
   reader.require_schema(cache_schema());
-  const std::size_t before = entries_.size();
+  // Every row is checked before any lands, so a refused file leaves the
+  // cache as it was.
+  std::map<std::uint64_t, CachedSolution> rows;
   recordio::Row row;
   while (reader.next(&row)) {
-    if (row.size() != kColumnCount) {
-      throw std::runtime_error("SolutionCache: cache row has wrong column count");
-    }
-    Entry entry;
-    entry.sketch = decode_sketch(std::get<std::string>(row[kSketch]));
-    entry.solution.success = std::get<std::uint64_t>(row[kSuccess]) != 0;
+    if (row.size() != kColumnCount) refuse(path, "cache row has wrong column count");
+    CachedSolution solution;
+    const std::uint64_t success = std::get<std::uint64_t>(row[kSuccess]);
+    if (success > 1) refuse(path, "success is neither 0 nor 1");
+    solution.success = success == 1;
     const auto& positions = std::get<std::vector<std::int64_t>>(row[kPositions]);
-    if (positions.size() % 2 != 0) {
-      throw std::runtime_error("SolutionCache: cache entry has an odd position list");
-    }
-    entry.solution.positions.reserve(positions.size() / 2);
+    if (positions.size() % 2 != 0) refuse(path, "cache entry has an odd position list");
+    solution.positions.reserve(positions.size() / 2);
     for (std::size_t i = 0; i + 1 < positions.size(); i += 2) {
-      entry.solution.positions.emplace_back(static_cast<int>(positions[i]),
-                                            static_cast<int>(positions[i + 1]));
+      solution.positions.emplace_back(load_coordinate(path, positions[i]),
+                                      load_coordinate(path, positions[i + 1]));
     }
-    entry.solution.message = std::get<std::string>(row[kMessage]);
-    entry.solution.nodes_explored =
-        static_cast<std::int64_t>(std::get<std::uint64_t>(row[kNodesExplored]));
-    entry.solution.lp_iterations =
-        static_cast<std::int64_t>(std::get<std::uint64_t>(row[kLpIterations]));
-    entry.solution.nodes_pruned =
-        static_cast<std::int64_t>(std::get<std::uint64_t>(row[kNodesPruned]));
-    entry.solution.lp_solves_avoided =
-        static_cast<std::int64_t>(std::get<std::uint64_t>(row[kLpSolvesAvoided]));
-    const std::uint64_t signature = std::get<std::uint64_t>(row[kSignature]);
-    if (capacity_ != 0 && entries_.size() >= capacity_ &&
-        entries_.find(signature) == entries_.end()) {
-      break;  // full: same refuse-don't-evict policy as insert()
-    }
-    entries_.emplace(signature, std::move(entry));  // first wins, like merge()
+    solution.message = std::get<std::string>(row[kMessage]);
+    solution.nodes_explored = load_counter(path, row, kNodesExplored);
+    solution.lp_iterations = load_counter(path, row, kLpIterations);
+    solution.nodes_pruned = load_counter(path, row, kNodesPruned);
+    solution.lp_solves_avoided = load_counter(path, row, kLpSolvesAvoided);
+    rows.emplace(std::get<std::uint64_t>(row[kSignature]), std::move(solution));
   }
+  const std::size_t before = entries_.size();
+  for (auto& [signature, solution] : rows) insert(signature, std::move(solution));
   return entries_.size() - before;
 }
 

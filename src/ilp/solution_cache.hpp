@@ -7,13 +7,9 @@
 // cache keys on the canonical observation signature (signature.hpp) and
 // stores the *complete* solve outcome — positions, message, node and
 // iteration counts — so a hit replays the cold solve byte for byte
-// regardless of which worker or batch produced it.
-//
-// Misses still profit: every entry carries a simhash sketch of its
-// element digests, and `nearest` returns the Hamming-closest stored
-// solve, whose positions seed the ILP warm start (a bound, never an
-// incumbent — see branch_and_bound.hpp — so the answer stays identical
-// to a cold solve).
+// regardless of which worker or batch produced it. That exact replay is
+// the whole mechanism: a miss solves cold, so the stored outcome of a
+// key depends only on that key's input, never on what else is cached.
 //
 // Determinism contract: storage is an ordered map, `merge` is
 // insert-if-absent in key order, and lookups never mutate. Merging
@@ -22,13 +18,12 @@
 // worker, or confine a shared instance to serial phases (serve's
 // batcher does the latter).
 
+#include <cstddef>
 #include <cstdint>
 #include <map>
 #include <string>
 #include <utility>
 #include <vector>
-
-#include "ilp/signature.hpp"
 
 namespace corelocate::ilp {
 
@@ -46,11 +41,6 @@ struct CachedSolution {
 
 class SolutionCache {
  public:
-  struct Entry {
-    SimhashSketch sketch{};
-    CachedSolution solution;
-  };
-
   /// `capacity` of 0 means unbounded. A full cache refuses further
   /// inserts instead of evicting: any deterministic eviction order would
   /// still make hit patterns depend on insertion history, and the fleet
@@ -63,13 +53,7 @@ class SolutionCache {
   /// Stores a solve under its signature. First write wins: an existing
   /// entry is never replaced (the same signature always describes the
   /// same input, so replays must not depend on arrival order).
-  void insert(std::uint64_t signature, const SimhashSketch& sketch,
-              CachedSolution solution);
-
-  /// Hamming-nearest stored entry by sketch, or nullptr when empty.
-  /// Ties break toward the smaller signature, so the choice is a pure
-  /// function of the cache contents.
-  const Entry* nearest(const SimhashSketch& sketch) const;
+  void insert(std::uint64_t signature, CachedSolution solution);
 
   /// Insert-if-absent union, in `other`'s key order. Deterministic: the
   /// merged contents do not depend on how work was partitioned.
@@ -82,11 +66,16 @@ class SolutionCache {
   /// worker count or insertion history.
   void save(const std::string& path) const;
 
-  /// Insert-if-absent load of a segment written by save(). Returns the
+  /// Insert-if-absent load of a segment written by save(), under the
+  /// same first-write-wins and capacity rules as insert(). Returns the
   /// number of entries inserted; 0 with no error when `path` does not
-  /// exist (a cold cache file is not a failure). Damage is loud: the
-  /// recordio CRCs make corruption throw rather than warm-start from
-  /// garbage.
+  /// exist (a cold cache file is not a failure). Damage is loud and
+  /// throws std::runtime_error naming the file, leaving the cache
+  /// unchanged: the recordio CRCs catch
+  /// corruption, the schema check refuses other layouts (including the
+  /// older one with a `sketch` column), and each row must hold a
+  /// `success` of 0 or 1, coordinates in [0, INT_MAX] and counters no
+  /// larger than INT64_MAX.
   std::size_t load(const std::string& path);
 
   std::size_t size() const noexcept { return entries_.size(); }
@@ -94,7 +83,7 @@ class SolutionCache {
 
  private:
   std::size_t capacity_ = 0;
-  std::map<std::uint64_t, Entry> entries_;
+  std::map<std::uint64_t, CachedSolution> entries_;
 };
 
 }  // namespace corelocate::ilp

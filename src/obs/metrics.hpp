@@ -11,8 +11,8 @@
 // ExactStats is the piece that makes timing statistics mergeable exactly:
 // samples are quantized to an integer number of quanta (1 ns by default)
 // at add() time and accumulated as integers; mean/variance are derived
-// from the integer sums only at read time. util::RunningStats' floating
-// Chan merge cannot give that guarantee — its result depends on merge
+// from the integer sums only at read time. A floating-point Welford/Chan
+// merge cannot give that guarantee — its result depends on merge
 // grouping.
 //
 // Registries are intentionally NOT thread-safe: one registry per worker,

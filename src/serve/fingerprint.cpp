@@ -6,19 +6,10 @@
 
 namespace corelocate::serve {
 
-std::uint64_t observation_signature(const core::ObservationSet& observations) {
-  // The canonical implementation moved next to the solvers (they key the
-  // ilp::SolutionCache on it); this forwarder keeps serve's historical
-  // entry point and values.
-  return core::observation_signature(observations);
-}
-
 Fingerprint fingerprint_of(const MappingRequest& request) {
   Fingerprint fp;
-  // Qualified: ADL would also find core::observation_signature (same
-  // values, but the call would be ambiguous).
   fp.signature =
-      request.observations ? serve::observation_signature(*request.observations) : 0;
+      request.observations ? core::observation_signature(*request.observations) : 0;
   ilp::SignatureBuilder builder(0xF1B6E250ULL);
   builder.add(static_cast<std::uint64_t>(request.model))
       .add(request.ppin)

@@ -1,10 +1,11 @@
 #pragma once
 // Instance fingerprints: the map-cache key and the solve-batch key.
 //
-// `signature` canonicalizes the observation *content*: each observation
-// hashes its own fields in order (activations sorted, because PMON
-// readout order is a measurement artifact), and the per-observation
-// digests fold order-invariantly (ilp::combine_unordered). Permuting the
+// `signature` canonicalizes the observation *content*
+// (core::observation_signature): each observation hashes its own fields
+// in order (activations sorted, because PMON readout order is a
+// measurement artifact), and the per-observation digests fold
+// order-invariantly (ilp::combine_unordered). Permuting the
 // observation set — or the activations within one observation — never
 // changes the signature, so a replayed instance hits the cache no matter
 // how its probe loop was scheduled.
@@ -23,11 +24,8 @@ namespace corelocate::serve {
 
 struct Fingerprint {
   std::uint64_t value = 0;      ///< cache key: identity + signature
-  std::uint64_t signature = 0;  ///< canonical observation signature
+  std::uint64_t signature = 0;  ///< core::observation_signature
 };
-
-/// Canonical, permutation-invariant signature of an observation set.
-std::uint64_t observation_signature(const core::ObservationSet& observations);
 
 /// Full fingerprint of a mapping request (also used by covert plans).
 Fingerprint fingerprint_of(const MappingRequest& request);

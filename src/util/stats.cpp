@@ -48,37 +48,6 @@ double max_of(std::span<const double> values) {
   return *std::max_element(values.begin(), values.end());
 }
 
-void RunningStats::add(double x) noexcept {
-  if (n_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++n_;
-  const double delta = x - mean_;
-  mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
-}
-
-void RunningStats::merge(const RunningStats& other) noexcept {
-  if (other.n_ == 0) return;
-  if (n_ == 0) {
-    *this = other;
-    return;
-  }
-  const auto na = static_cast<double>(n_);
-  const auto nb = static_cast<double>(other.n_);
-  const double delta = other.mean_ - mean_;
-  mean_ += delta * nb / (na + nb);
-  m2_ += other.m2_ + delta * delta * na * nb / (na + nb);
-  n_ += other.n_;
-  min_ = std::min(min_, other.min_);
-  max_ = std::max(max_, other.max_);
-}
-
-double RunningStats::stddev() const noexcept { return std::sqrt(variance()); }
-
 Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo), hi_(hi) {
   if (!(hi > lo) || bins == 0) throw std::invalid_argument("Histogram: bad range/bins");
   counts_.assign(bins, 0);

@@ -18,30 +18,6 @@ double percentile(std::span<const double> values, double q);
 double min_of(std::span<const double> values);
 double max_of(std::span<const double> values);
 
-/// Streaming mean/variance accumulator (Welford).
-class RunningStats {
- public:
-  void add(double x) noexcept;
-
-  /// Folds another accumulator in (Chan et al. parallel variance merge).
-  /// Lets each fleet worker keep a local accumulator and combine at the
-  /// barrier without locking the hot path.
-  void merge(const RunningStats& other) noexcept;
-  std::size_t count() const noexcept { return n_; }
-  double mean() const noexcept { return n_ ? mean_ : 0.0; }
-  double variance() const noexcept { return n_ > 1 ? m2_ / static_cast<double>(n_) : 0.0; }
-  double stddev() const noexcept;
-  double min() const noexcept { return min_; }
-  double max() const noexcept { return max_; }
-
- private:
-  std::size_t n_ = 0;
-  double mean_ = 0.0;
-  double m2_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
-
 /// Simple fixed-width histogram over [lo, hi).
 class Histogram {
  public:

@@ -57,53 +57,6 @@ TEST(Stats, MinMax) {
   EXPECT_DOUBLE_EQ(max_of(v), 7.0);
 }
 
-TEST(RunningStats, MatchesBatch) {
-  const std::vector<double> v{2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  RunningStats rs;
-  for (double x : v) rs.add(x);
-  EXPECT_EQ(rs.count(), v.size());
-  EXPECT_NEAR(rs.mean(), mean(v), 1e-12);
-  EXPECT_NEAR(rs.variance(), variance(v), 1e-12);
-  EXPECT_DOUBLE_EQ(rs.min(), 2.0);
-  EXPECT_DOUBLE_EQ(rs.max(), 9.0);
-}
-
-TEST(RunningStats, EmptyIsSafe) {
-  RunningStats rs;
-  EXPECT_EQ(rs.count(), 0u);
-  EXPECT_DOUBLE_EQ(rs.mean(), 0.0);
-  EXPECT_DOUBLE_EQ(rs.variance(), 0.0);
-}
-
-TEST(RunningStats, MergeMatchesSingleAccumulator) {
-  const std::vector<double> v{2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0};
-  RunningStats whole;
-  for (double x : v) whole.add(x);
-  RunningStats left, right;
-  for (std::size_t i = 0; i < v.size(); ++i) (i < 3 ? left : right).add(v[i]);
-  left.merge(right);
-  EXPECT_EQ(left.count(), whole.count());
-  EXPECT_NEAR(left.mean(), whole.mean(), 1e-12);
-  EXPECT_NEAR(left.variance(), whole.variance(), 1e-12);
-  EXPECT_DOUBLE_EQ(left.min(), whole.min());
-  EXPECT_DOUBLE_EQ(left.max(), whole.max());
-}
-
-TEST(RunningStats, MergeWithEmptySides) {
-  RunningStats filled;
-  filled.add(1.0);
-  filled.add(3.0);
-  RunningStats empty;
-  RunningStats copy = filled;
-  copy.merge(empty);  // no-op
-  EXPECT_EQ(copy.count(), 2u);
-  EXPECT_NEAR(copy.mean(), 2.0, 1e-12);
-  empty.merge(filled);  // adopt
-  EXPECT_EQ(empty.count(), 2u);
-  EXPECT_DOUBLE_EQ(empty.min(), 1.0);
-  EXPECT_DOUBLE_EQ(empty.max(), 3.0);
-}
-
 TEST(Histogram, BinsAndBounds) {
   Histogram h(0.0, 10.0, 5);
   h.add(0.0);
