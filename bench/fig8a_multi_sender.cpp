@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
       double total = 0.0;
       for (int s = 0; s < seeds; ++s) {
         util::Rng payload_rng(1000 + s * 17 + count);
-        const covert::ChannelSpec spec = covert::make_channel_on(
+        const covert::ChannelSpec channel = covert::make_channel_on(
             li.config, senders, plan->receiver_cha,
             covert::random_bits(bits, payload_rng));
         covert::TransmissionConfig cfg;
@@ -64,8 +64,8 @@ int main(int argc, char** argv) {
         cfg.seed = static_cast<std::uint64_t>(s * 37 + count * 101 + rate);
         thermal::ThermalModel model(li.config.grid, bench::cloud_thermal_params(),
                                     cfg.seed);
-        bench::mark_tenants(model, li.config, {spec});
-        total += covert::run_transmission(model, {spec}, cfg).channels.front().ber;
+        bench::mark_tenants(model, li.config, {channel});
+        total += covert::run_transmission(model, {channel}, cfg).channels.front().ber;
       }
       const double mean_ber = total / seeds;
       if (count == 4 && rate == 4.0) four_sender_4bps = mean_ber;

@@ -1,7 +1,6 @@
 // Fleet write-path bench: streams a synthetic million-instance survey
-// record stream through the recordio segment writer and through the
-// text MapStore append path it replaced, and reports ns/record for
-// both plus the peak-RSS ceiling of the streaming run.
+// record stream through the recordio segment writer, and reports
+// ns/record plus the peak-RSS ceiling of the streaming run.
 //
 // Records are synthesized, not located — the locating pipeline costs
 // milliseconds per instance and would drown the nanoseconds-per-record
@@ -28,7 +27,6 @@
 #include <string>
 
 #include "bench_common.hpp"
-#include "core/map_store.hpp"
 #include "fleet/record_stream.hpp"
 #include "fleet/survey_record.hpp"
 #include "recordio/reader.hpp"
@@ -75,8 +73,8 @@ fleet::InstanceRecord template_record() {
 int main(int argc, char** argv) {
   util::FlagSpec spec("fleet_million",
                       "Stream a synthetic million-instance record stream through "
-                      "the recordio segment writer and the text MapStore append "
-                      "path, gating write throughput and peak RSS.");
+                      "the recordio segment writer, gating write throughput and "
+                      "peak RSS.");
   spec.add("instances", "N", "records to stream (default 1000000)")
       .add("rss-budget-mib", "N",
            "exit nonzero when the streaming write grows peak RSS past N MiB "
@@ -104,7 +102,6 @@ int main(int argc, char** argv) {
   }
   std::filesystem::create_directories(out_dir);
   const std::string rio_path = out_dir + "/records.rio";
-  const std::string text_path = out_dir + "/maps.db";
 
   const fleet::InstanceRecord base = template_record();
 
@@ -128,20 +125,6 @@ int main(int argc, char** argv) {
   const long rss_after_kib = peak_rss_kib();
   reporter.add_stage("rio_write", rio_seconds);
 
-  // --- text MapStore append: the path recordio replaced. The fleet
-  // checkpoint called append_file once per completed instance, so the
-  // open-append-close per record is the honest historical cost. ---
-  const obs::Clock::Time text_start = obs::Clock::now();
-  {
-    fleet::InstanceRecord record = base;
-    for (std::uint64_t i = 0; i < instances; ++i) {
-      record.map.ppin = 0x9900000000000000ULL + i;
-      core::MapStore::append_file(text_path, record.map);
-    }
-  }
-  const double text_seconds = obs::Clock::seconds_since(text_start);
-  reporter.add_stage("text_append", text_seconds);
-
   // --- read-back verification: every block CRC re-checked. ---
   const obs::Clock::Time read_start = obs::Clock::now();
   std::uint64_t rows_read = 0;
@@ -156,7 +139,6 @@ int main(int argc, char** argv) {
   reporter.add_stage("rio_read", obs::Clock::seconds_since(read_start));
 
   const double rio_ns = rio_seconds * 1e9 / static_cast<double>(instances);
-  const double text_ns = text_seconds * 1e9 / static_cast<double>(instances);
   const auto rss_growth_kib =
       static_cast<std::uint64_t>(rss_after_kib > rss_before_kib
                                      ? rss_after_kib - rss_before_kib
@@ -166,8 +148,6 @@ int main(int argc, char** argv) {
             << "rio write:        " << rio_ns << " ns/record, "
             << rio_stats.bytes_written << " bytes, " << rio_stats.blocks
             << " blocks\n"
-            << "text append:      " << text_ns << " ns/record\n"
-            << "rio speedup:      " << text_ns / rio_ns << "x\n"
             << "rio bytes/record: "
             << static_cast<double>(rio_stats.bytes_written) /
                    static_cast<double>(instances)
@@ -182,8 +162,6 @@ int main(int argc, char** argv) {
   obs::Registry registry;
   registry.counter("fleet.bench.rio_ns_per_record")
       .add(static_cast<std::uint64_t>(rio_ns));
-  registry.counter("fleet.bench.text_ns_per_record")
-      .add(static_cast<std::uint64_t>(text_ns));
   registry.counter("fleet.bench.peak_rss_kib")
       .add(static_cast<std::uint64_t>(rss_after_kib));
   registry.counter("fleet.bench.rss_growth_kib").add(rss_growth_kib);
@@ -195,7 +173,6 @@ int main(int argc, char** argv) {
   bench::ExpectedActual comparison;
   comparison.add("rows_round_tripped", static_cast<double>(instances),
                  static_cast<double>(rows_read))
-      .add("rio_beats_text", 1.0, rio_ns < text_ns ? 1.0 : 0.0)
       .add("rss_growth_under_budget", 1.0,
            rss_growth_kib <= rss_budget_mib * 1024 ? 1.0 : 0.0);
   reporter.finish(comparison);

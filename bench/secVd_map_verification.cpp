@@ -50,16 +50,16 @@ int main(int argc, char** argv) {
     for (int sender : core_chas) {
       if (sender == receiver) continue;
       util::Rng payload_rng(static_cast<std::uint64_t>(sender * 131 + receiver));
-      const covert::ChannelSpec spec = covert::make_channel_on(
+      const covert::ChannelSpec channel = covert::make_channel_on(
           li.config, {sender}, receiver, covert::random_bits(bits, payload_rng));
       covert::TransmissionConfig cfg;
       cfg.bit_rate_bps = rate;
       cfg.seed = static_cast<std::uint64_t>(sender * 1009 + receiver * 7);
       thermal::ThermalModel model(li.config.grid, bench::cloud_thermal_params(),
                                   cfg.seed);
-      bench::mark_tenants(model, li.config, {spec});
+      bench::mark_tenants(model, li.config, {channel});
       const double ber =
-          covert::run_transmission(model, {spec}, cfg).channels.front().ber;
+          covert::run_transmission(model, {channel}, cfg).channels.front().ber;
       if (ber < best_ber) {
         best_ber = ber;
         best_sender = sender;

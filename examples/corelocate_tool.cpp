@@ -1,20 +1,25 @@
 // corelocate_tool — the command-line face of the library, mirroring how
 // the paper's released artifact is used in practice.
 //
-//   corelocate_tool map      --db maps.db [--model 8259CL] [--seed N]
+//   corelocate_tool map      --db maps.rio [--model 8259CL] [--seed N]
 //                            [--engine decomposed|ilp|refined]
 //       locate a machine's cores (root phase) and store the map by PPIN
-//   corelocate_tool list     --db maps.db
+//   corelocate_tool list     --db maps.rio
 //       list every mapped machine
-//   corelocate_tool show     --db maps.db --ppin HEX
+//   corelocate_tool show     --db maps.rio --ppin HEX
 //       render a stored map
-//   corelocate_tool verify   --db maps.db [--seed N]
+//   corelocate_tool verify   --db maps.rio [--seed N]
 //       re-map the machine and check the stored map still matches
 //       (maps are permanent per physical CPU)
+//
+// The database is a recordio segment of core maps keyed by PPIN
+// (core::MapStore). A missing file is an empty database; a damaged one
+// fails every command with exit 1, so `map` never replaces it.
 //
 // In this reproduction the "machine" is the simulator; on hardware the
 // same flow would run against /dev/cpu/*/msr.
 
+#include <charconv>
 #include <iostream>
 
 #include "core/map_store.hpp"
@@ -36,12 +41,14 @@ sim::XeonModel model_flag(const util::CliFlags& flags) {
   return model;
 }
 
-core::MapStore load_db(const std::string& path) {
-  try {
-    return core::MapStore::load_file(path);
-  } catch (const std::runtime_error&) {
-    return core::MapStore{};  // fresh database
-  }
+/// The whole --ppin token as hex, with an optional 0x prefix; signs,
+/// stray bytes and values past 64 bits are refused, never truncated.
+bool parse_ppin(const std::string& text, std::uint64_t& ppin) {
+  const bool prefixed = text.rfind("0x", 0) == 0 || text.rfind("0X", 0) == 0;
+  const char* const begin = text.data() + (prefixed ? 2 : 0);
+  const char* const end = text.data() + text.size();
+  const auto [stop, error] = std::from_chars(begin, end, ppin, 16);
+  return begin != end && error == std::errc{} && stop == end;
 }
 
 int cmd_map(const util::CliFlags& flags) {
@@ -53,6 +60,8 @@ int cmd_map(const util::CliFlags& flags) {
   if (!core::parse_engine_token(engine_name, engine)) {
     throw std::invalid_argument("unknown engine: " + engine_name);
   }
+
+  core::MapStore store = core::MapStore::load_file(db);
 
   sim::InstanceFactory factory;
   util::Rng rng(seed);
@@ -66,7 +75,6 @@ int cmd_map(const util::CliFlags& flags) {
     std::cerr << "mapping failed: " << result.message << "\n";
     return 1;
   }
-  core::MapStore store = load_db(db);
   store.put(result.map);
   store.save_file(db);
   std::cout << "mapped " << sim::to_string(model) << " (PPIN 0x" << std::hex
@@ -77,7 +85,8 @@ int cmd_map(const util::CliFlags& flags) {
 }
 
 int cmd_list(const util::CliFlags& flags) {
-  const core::MapStore store = load_db(flags.get("db", "corelocate-maps.db"));
+  const core::MapStore store =
+      core::MapStore::load_file(flags.get("db", "corelocate-maps.db"));
   if (store.size() == 0) {
     std::cout << "(no machines mapped yet)\n";
     return 0;
@@ -92,13 +101,18 @@ int cmd_list(const util::CliFlags& flags) {
 }
 
 int cmd_show(const util::CliFlags& flags) {
-  const core::MapStore store = load_db(flags.get("db", "corelocate-maps.db"));
-  const std::string ppin_hex = flags.get("ppin", "");
-  if (ppin_hex.empty()) {
+  if (!flags.has("ppin")) {
     std::cerr << "show requires --ppin HEX\n";
     return 1;
   }
-  const std::uint64_t ppin = std::stoull(ppin_hex, nullptr, 16);
+  const std::string ppin_hex = flags.get("ppin", "");
+  std::uint64_t ppin = 0;
+  if (!parse_ppin(ppin_hex, ppin)) {
+    std::cerr << "bad --ppin '" << ppin_hex << "': expected a 64-bit hex number\n";
+    return 1;
+  }
+  const core::MapStore store =
+      core::MapStore::load_file(flags.get("db", "corelocate-maps.db"));
   const auto map = store.get(ppin);
   if (!map.has_value()) {
     std::cerr << "no map stored for PPIN 0x" << std::hex << ppin << std::dec << "\n";
@@ -118,7 +132,7 @@ int cmd_verify(const util::CliFlags& flags) {
   const sim::InstanceConfig machine = factory.make_instance(model, rng);
   sim::VirtualXeon cpu(machine);
   const std::uint64_t ppin = msr::PmonDriver(cpu.msr()).read_ppin();
-  const core::MapStore store = load_db(db);
+  const core::MapStore store = core::MapStore::load_file(db);
   const auto stored = store.get(ppin);
   if (!stored.has_value()) {
     std::cerr << "machine 0x" << std::hex << ppin << std::dec

@@ -70,14 +70,9 @@ int main(int argc, char** argv) {
   // the database (the paper's point: maps are permanent per chip, so the
   // root-needing locating phase runs once per physical CPU) or map it now.
   const std::uint64_t ppin = msr::PmonDriver(cpu.msr()).read_ppin();
-  core::MapStore store;
-  if (!map_db.empty()) {
-    try {
-      store = core::MapStore::load_file(map_db);
-    } catch (const std::runtime_error&) {
-      // first run: the database does not exist yet
-    }
-  }
+  // A missing database loads empty (first run); a damaged one throws.
+  core::MapStore store =
+      map_db.empty() ? core::MapStore{} : core::MapStore::load_file(map_db);
   core::CoreMap map;
   if (const auto known = store.get(ppin); known.has_value()) {
     map = *known;

@@ -56,7 +56,7 @@ int main(int argc, char** argv) {
   util::TablePrinter table({"sensor configuration", "BER", "synced"});
   for (const Knob& knob : knobs) {
     util::Rng payload_rng(99);
-    covert::ChannelSpec spec = covert::make_channel_on(
+    covert::ChannelSpec channel = covert::make_channel_on(
         machine, {sender}, receiver, covert::random_bits(bits, payload_rng));
     covert::TransmissionConfig config;
     config.bit_rate_bps = rate;
@@ -67,12 +67,12 @@ int main(int argc, char** argv) {
     thermal::ThermalModel die(machine.grid, params, 5);
     for (int os = 0; os < machine.os_core_count(); ++os) {
       const mesh::Coord pos = machine.tile_of_os_core(os);
-      if (pos != spec.receiver_tile && !(spec.sender_tiles[0] == pos)) {
+      if (pos != channel.receiver_tile && !(channel.sender_tiles[0] == pos)) {
         die.set_tenant(pos, true);
       }
     }
     const covert::ChannelOutcome outcome =
-        covert::run_transmission(die, {spec}, config).channels.front();
+        covert::run_transmission(die, {channel}, config).channels.front();
     table.add_row({knob.name, util::fmt_pct(outcome.ber, 2),
                    outcome.synced ? "yes" : "no"});
   }
@@ -82,7 +82,7 @@ int main(int argc, char** argv) {
   // at the mapped receiver tile bypasses any on-die sensor defence.
   {
     util::Rng payload_rng(99);
-    covert::ChannelSpec spec = covert::make_channel_on(
+    covert::ChannelSpec channel = covert::make_channel_on(
         machine, {sender}, receiver, covert::random_bits(bits, payload_rng));
     covert::TransmissionConfig config;
     config.bit_rate_bps = rate;
@@ -92,12 +92,12 @@ int main(int argc, char** argv) {
     thermal::ThermalModel die(machine.grid, params, 5);
     for (int os = 0; os < machine.os_core_count(); ++os) {
       const mesh::Coord pos = machine.tile_of_os_core(os);
-      if (pos != spec.receiver_tile && !(spec.sender_tiles[0] == pos)) {
+      if (pos != channel.receiver_tile && !(channel.sender_tiles[0] == pos)) {
         die.set_tenant(pos, true);
       }
     }
     const covert::ChannelOutcome outcome =
-        covert::run_transmission(die, {spec}, config).channels.front();
+        covert::run_transmission(die, {channel}, config).channels.front();
     std::cout << "\nexternal IR probe aimed at the mapped tile (defence bypass): BER "
               << util::fmt_pct(outcome.ber, 2) << ", "
               << (outcome.synced ? "synced" : "no sync") << "\n";

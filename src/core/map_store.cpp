@@ -1,126 +1,115 @@
 #include "core/map_store.hpp"
 
-#include <fstream>
-#include <sstream>
+#include <cinttypes>
+#include <cstdio>
+#include <filesystem>
+#include <limits>
 #include <stdexcept>
+#include <utility>
+
+#include "recordio/reader.hpp"
+#include "recordio/writer.hpp"
 
 namespace corelocate::core {
 
 namespace {
 
-constexpr const char* kMapBegin = "coremap v1";
-constexpr const char* kMapEnd = "end";
+enum MapColumn : std::size_t {
+  kRows = 0,
+  kCols,
+  kPpin,
+  kChaPositions,  // (row, col) interleaved
+  kOsCoreToCha,
+  kLlcOnlyChas,
+};
 
-std::vector<std::string> split(const std::string& line) {
-  std::vector<std::string> tokens;
-  // Whitespace-separated tokens: at most one per two characters.
-  tokens.reserve(line.size() / 2 + 1);
-  std::istringstream iss(line);
-  std::string token;
-  while (iss >> token) tokens.push_back(token);
-  return tokens;
+[[noreturn]] void refuse(const std::string& what) {
+  throw std::runtime_error("core map: " + what);
 }
 
-std::uint64_t parse_u64(const std::string& token) {
-  std::size_t used = 0;
-  const std::uint64_t value = std::stoull(token, &used, 16);
-  if (used != token.size()) throw std::invalid_argument("bad hex number: " + token);
-  return value;
+int load_dimension(const recordio::Row& row, std::size_t first, MapColumn field) {
+  const std::uint64_t value = std::get<std::uint64_t>(row[first + field]);
+  if (value > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+    refuse(core_map_fields()[field].name + " " + std::to_string(value) +
+           " exceeds INT_MAX");
+  }
+  return static_cast<int>(value);
 }
 
-int parse_int(const std::string& token) {
-  std::size_t used = 0;
-  const int value = std::stoi(token, &used);
-  if (used != token.size()) throw std::invalid_argument("bad integer: " + token);
-  return value;
+std::vector<std::int64_t> widen(const std::vector<int>& values) {
+  return std::vector<std::int64_t>(values.begin(), values.end());
+}
+
+/// The CHA ids of `field`, each checked to name one of `cha_count` CHAs.
+std::vector<int> load_cha_ids(const recordio::Row& row, std::size_t first,
+                              MapColumn field, int cha_count) {
+  const auto& values = std::get<std::vector<std::int64_t>>(row[first + field]);
+  std::vector<int> ids;
+  ids.reserve(values.size());
+  for (const std::int64_t cha : values) {
+    if (cha < 0 || cha >= cha_count) {
+      refuse(core_map_fields()[field].name + " entry " + std::to_string(cha) +
+             " names no CHA (the map has " + std::to_string(cha_count) + ")");
+    }
+    ids.push_back(static_cast<int>(cha));
+  }
+  return ids;
 }
 
 }  // namespace
 
-std::string serialize_map(const CoreMap& map) {
-  std::ostringstream out;
-  out << kMapBegin << '\n';
-  out << "ppin " << std::hex << map.ppin << std::dec << '\n';
-  out << "grid " << map.rows << ' ' << map.cols << '\n';
-  out << "cha";
-  for (const mesh::Coord& pos : map.cha_position) out << ' ' << pos.row << ' ' << pos.col;
-  out << '\n';
-  out << "os";
-  for (int cha : map.os_core_to_cha) out << ' ' << cha;
-  out << '\n';
-  out << "llconly";
-  for (int cha : map.llc_only_chas) out << ' ' << cha;
-  out << '\n';
-  out << kMapEnd << '\n';
-  return out.str();
+const recordio::Schema& core_map_fields() {
+  using recordio::FieldType;
+  static const recordio::Schema fields = {
+      {"map_rows", FieldType::kU64},
+      {"map_cols", FieldType::kU64},
+      {"ppin", FieldType::kU64},
+      {"cha_positions", FieldType::kI64List},
+      {"os_core_to_cha", FieldType::kI64List},
+      {"llc_only_chas", FieldType::kI64List},
+  };
+  return fields;
 }
 
-CoreMap deserialize_map(const std::string& text) {
-  std::istringstream in(text);
-  std::string line;
+void encode_core_map(const CoreMap& map, std::size_t first, recordio::Row* row) {
+  recordio::Row& cells = *row;
+  cells[first + kRows] = static_cast<std::uint64_t>(map.rows);
+  cells[first + kCols] = static_cast<std::uint64_t>(map.cols);
+  cells[first + kPpin] = map.ppin;
+  std::vector<std::int64_t> positions;
+  positions.reserve(map.cha_position.size() * 2);
+  for (const mesh::Coord& coord : map.cha_position) {
+    positions.push_back(coord.row);
+    positions.push_back(coord.col);
+  }
+  cells[first + kChaPositions] = std::move(positions);
+  cells[first + kOsCoreToCha] = widen(map.os_core_to_cha);
+  cells[first + kLlcOnlyChas] = widen(map.llc_only_chas);
+}
+
+CoreMap decode_core_map(const recordio::Row& row, std::size_t first) {
+  if (row.size() < first + kCoreMapFieldCount) refuse("row too short for a core map");
   CoreMap map;
-  bool began = false;
-  bool ended = false;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (!began) {
-      if (line != kMapBegin) {
-        throw std::invalid_argument("deserialize_map: missing header, got '" + line + "'");
-      }
-      began = true;
-      continue;
+  map.rows = load_dimension(row, first, kRows);
+  map.cols = load_dimension(row, first, kCols);
+  map.ppin = std::get<std::uint64_t>(row[first + kPpin]);
+
+  const auto& positions = std::get<std::vector<std::int64_t>>(row[first + kChaPositions]);
+  if (positions.size() % 2 != 0) refuse("odd CHA position list");
+  map.cha_position.reserve(positions.size() / 2);
+  for (std::size_t i = 0; i + 1 < positions.size(); i += 2) {
+    const std::int64_t pos_row = positions[i];
+    const std::int64_t pos_col = positions[i + 1];
+    if (pos_row < 0 || pos_row >= map.rows || pos_col < 0 || pos_col >= map.cols) {
+      refuse("CHA position (" + std::to_string(pos_row) + ", " +
+             std::to_string(pos_col) + ") is outside the " + std::to_string(map.rows) +
+             "x" + std::to_string(map.cols) + " grid");
     }
-    if (line == kMapEnd) {
-      ended = true;
-      break;
-    }
-    const std::vector<std::string> tokens = split(line);
-    if (tokens.empty()) continue;
-    const std::string& key = tokens[0];
-    if (key == "ppin") {
-      if (tokens.size() != 2) throw std::invalid_argument("deserialize_map: bad ppin line");
-      map.ppin = parse_u64(tokens[1]);
-    } else if (key == "grid") {
-      if (tokens.size() != 3) throw std::invalid_argument("deserialize_map: bad grid line");
-      map.rows = parse_int(tokens[1]);
-      map.cols = parse_int(tokens[2]);
-    } else if (key == "cha") {
-      if (tokens.size() % 2 != 1) {
-        throw std::invalid_argument("deserialize_map: odd cha coordinate count");
-      }
-      map.cha_position.reserve(tokens.size() / 2);
-      for (std::size_t i = 1; i + 1 < tokens.size(); i += 2) {
-        map.cha_position.push_back(
-            mesh::Coord{parse_int(tokens[i]), parse_int(tokens[i + 1])});
-      }
-    } else if (key == "os") {
-      map.os_core_to_cha.reserve(tokens.size() - 1);
-      for (std::size_t i = 1; i < tokens.size(); ++i) {
-        map.os_core_to_cha.push_back(parse_int(tokens[i]));
-      }
-    } else if (key == "llconly") {
-      map.llc_only_chas.reserve(tokens.size() - 1);
-      for (std::size_t i = 1; i < tokens.size(); ++i) {
-        map.llc_only_chas.push_back(parse_int(tokens[i]));
-      }
-    } else {
-      throw std::invalid_argument("deserialize_map: unknown key '" + key + "'");
-    }
+    map.cha_position.push_back(
+        mesh::Coord{static_cast<int>(pos_row), static_cast<int>(pos_col)});
   }
-  if (!began || !ended) throw std::invalid_argument("deserialize_map: truncated record");
-  if (map.rows <= 0 || map.cols <= 0) {
-    throw std::invalid_argument("deserialize_map: missing grid dimensions");
-  }
-  for (const mesh::Coord& pos : map.cha_position) {
-    if (pos.row < 0 || pos.row >= map.rows || pos.col < 0 || pos.col >= map.cols) {
-      throw std::invalid_argument("deserialize_map: CHA position out of grid");
-    }
-  }
-  for (int cha : map.os_core_to_cha) {
-    if (cha < 0 || cha >= map.cha_count()) {
-      throw std::invalid_argument("deserialize_map: OS mapping references unknown CHA");
-    }
-  }
+  map.os_core_to_cha = load_cha_ids(row, first, kOsCoreToCha, map.cha_count());
+  map.llc_only_chas = load_cha_ids(row, first, kLlcOnlyChas, map.cha_count());
   return map;
 }
 
@@ -141,56 +130,38 @@ std::vector<std::uint64_t> MapStore::ppins() const {
   return keys;
 }
 
-void MapStore::save(std::ostream& out) const {
-  for (const auto& [ppin, map] : maps_) out << serialize_map(map);
-}
-
-MapStore MapStore::load(std::istream& in) {
-  MapStore store;
-  std::string line;
-  std::string record;
-  // A serialized record is a handful of short lines; this keeps the
-  // per-line appends below from reallocating the accumulator.
-  record.reserve(256);
-  bool in_record = false;
-  while (std::getline(in, line)) {
-    if (line.empty()) continue;
-    if (line == kMapBegin) {
-      if (in_record) throw std::invalid_argument("MapStore::load: nested record");
-      in_record = true;
-      record = line + "\n";
-      continue;
-    }
-    if (!in_record) throw std::invalid_argument("MapStore::load: stray line: " + line);
-    record += line + "\n";
-    if (line == kMapEnd) {
-      store.put(deserialize_map(record));
-      in_record = false;
-    }
-  }
-  if (in_record) throw std::invalid_argument("MapStore::load: truncated final record");
-  return store;
-}
-
 void MapStore::save_file(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) throw std::runtime_error("MapStore: cannot open for writing: " + path);
-  save(out);
-  if (!out.good()) throw std::runtime_error("MapStore: write failed: " + path);
+  recordio::RecordWriter writer(path, core_map_fields());
+  recordio::Row row(kCoreMapFieldCount);
+  for (const auto& [ppin, map] : maps_) {
+    encode_core_map(map, 0, &row);
+    writer.append_row(row);
+  }
+  writer.close();
 }
 
 MapStore MapStore::load_file(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("MapStore: cannot open for reading: " + path);
-  return load(in);
-}
-
-void MapStore::append_file(const std::string& path, const CoreMap& map) {
-  std::ofstream out(path, std::ios::app);
-  if (!out) throw std::runtime_error("MapStore: cannot open for appending: " + path);
-  out << serialize_map(map);
-  out.flush();
-  if (!out.good()) throw std::runtime_error("MapStore: append failed: " + path);
+  MapStore store;
+  if (!std::filesystem::exists(path)) return store;  // a new database
+  recordio::RecordReader reader(path);
+  reader.require_schema(core_map_fields());
+  recordio::Row row;
+  while (reader.next(&row)) {
+    CoreMap map;
+    try {
+      map = decode_core_map(row, 0);
+    } catch (const std::runtime_error& error) {
+      throw std::runtime_error("MapStore: " + path + ": " + error.what());
+    }
+    const std::uint64_t ppin = map.ppin;
+    if (!store.maps_.emplace(ppin, std::move(map)).second) {
+      char hex[32];
+      std::snprintf(hex, sizeof hex, "%" PRIx64, ppin);
+      throw std::runtime_error("MapStore: " + path + ": PPIN 0x" + hex +
+                               " is stored twice");
+    }
+  }
+  return store;
 }
 
 }  // namespace corelocate::core

@@ -1,13 +1,17 @@
 #include "fleet/record_stream.hpp"
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
+
+#include "core/map_store.hpp"
 
 namespace corelocate::fleet {
 
@@ -43,61 +47,46 @@ enum Column : std::size_t {
   kSeed,
   kSuccess,
   kMessage,
-  kMapRows,
-  kMapCols,
-  kPpin,
-  kChaPositions,
-  kOsCoreToCha,
-  kLlcOnlyChas,
-  kMetricNames,
+  kMap,  // the core::core_map_fields() columns
+  kMetricNames = kMap + core::kCoreMapFieldCount,
   kMetricValues,
   kColumnCount,
 };
 
+[[noreturn]] void refuse(const std::string& what) {
+  throw std::runtime_error("fleet: survey record " + what);
+}
+
 }  // namespace
 
 const recordio::Schema& survey_record_schema() {
-  static const recordio::Schema schema = {
-      {"index", FieldType::kDeltaU64},
-      {"seed", FieldType::kDeltaU64},
-      {"success", FieldType::kU64},
-      {"message", FieldType::kBytes},
-      {"map_rows", FieldType::kU64},
-      {"map_cols", FieldType::kU64},
-      {"ppin", FieldType::kU64},
-      {"cha_positions", FieldType::kI64List},
-      {"os_core_to_cha", FieldType::kI64List},
-      {"llc_only_chas", FieldType::kI64List},
-      {"metric_names", FieldType::kBytes},
-      {"metric_values", FieldType::kF64List},
-  };
+  static const recordio::Schema schema = [] {
+    recordio::Schema columns = {
+        {"index", FieldType::kDeltaU64},
+        {"seed", FieldType::kDeltaU64},
+        {"success", FieldType::kU64},
+        {"message", FieldType::kBytes},
+    };
+    const recordio::Schema& map = core::core_map_fields();
+    columns.insert(columns.end(), map.begin(), map.end());
+    columns.push_back({"metric_names", FieldType::kBytes});
+    columns.push_back({"metric_values", FieldType::kF64List});
+    return columns;
+  }();
   return schema;
 }
 
 recordio::Row encode_survey_record(const InstanceRecord& record) {
+  if (record.index < 0) {
+    throw std::invalid_argument("fleet: survey record index " +
+                                std::to_string(record.index) + " is negative");
+  }
   recordio::Row row(kColumnCount);
   row[kIndex] = static_cast<std::uint64_t>(record.index);
   row[kSeed] = record.seed;
   row[kSuccess] = static_cast<std::uint64_t>(record.success ? 1 : 0);
   row[kMessage] = record.message;
-  row[kMapRows] = static_cast<std::uint64_t>(record.map.rows);
-  row[kMapCols] = static_cast<std::uint64_t>(record.map.cols);
-  row[kPpin] = record.map.ppin;
-
-  std::vector<std::int64_t> positions;
-  positions.reserve(record.map.cha_position.size() * 2);
-  for (const mesh::Coord& coord : record.map.cha_position) {
-    positions.push_back(coord.row);
-    positions.push_back(coord.col);
-  }
-  row[kChaPositions] = std::move(positions);
-
-  std::vector<std::int64_t> os_map(record.map.os_core_to_cha.begin(),
-                                   record.map.os_core_to_cha.end());
-  row[kOsCoreToCha] = std::move(os_map);
-  std::vector<std::int64_t> llc_only(record.map.llc_only_chas.begin(),
-                                     record.map.llc_only_chas.end());
-  row[kLlcOnlyChas] = std::move(llc_only);
+  core::encode_core_map(record.map, kMap, &row);
 
   // metrics is an ordered map whose keys are non-empty and free of ';',
   // so a ';'-joined name column plus a parallel value list round-trips it.
@@ -120,49 +109,37 @@ recordio::Row encode_survey_record(const InstanceRecord& record) {
 }
 
 InstanceRecord decode_survey_record(const recordio::Row& row) {
-  if (row.size() != kColumnCount) {
-    throw std::runtime_error("fleet: survey record row has wrong column count");
-  }
+  if (row.size() != kColumnCount) refuse("row has wrong column count");
   InstanceRecord record;
-  record.index = static_cast<int>(std::get<std::uint64_t>(row[kIndex]));
+  const std::uint64_t index = std::get<std::uint64_t>(row[kIndex]);
+  if (index > static_cast<std::uint64_t>(std::numeric_limits<int>::max())) {
+    refuse("index " + std::to_string(index) + " exceeds INT_MAX");
+  }
+  record.index = static_cast<int>(index);
   record.seed = std::get<std::uint64_t>(row[kSeed]);
-  record.success = std::get<std::uint64_t>(row[kSuccess]) != 0;
+  const std::uint64_t success = std::get<std::uint64_t>(row[kSuccess]);
+  if (success > 1) refuse("success is neither 0 nor 1");
+  record.success = success == 1;
   record.message = std::get<std::string>(row[kMessage]);
-  record.map.rows = static_cast<int>(std::get<std::uint64_t>(row[kMapRows]));
-  record.map.cols = static_cast<int>(std::get<std::uint64_t>(row[kMapCols]));
-  record.map.ppin = std::get<std::uint64_t>(row[kPpin]);
+  record.map = core::decode_core_map(row, kMap);
 
-  const auto& positions = std::get<std::vector<std::int64_t>>(row[kChaPositions]);
-  if (positions.size() % 2 != 0) {
-    throw std::runtime_error("fleet: survey record has an odd CHA position list");
-  }
-  record.map.cha_position.reserve(positions.size() / 2);
-  for (std::size_t i = 0; i + 1 < positions.size(); i += 2) {
-    record.map.cha_position.push_back(mesh::Coord{
-        static_cast<int>(positions[i]), static_cast<int>(positions[i + 1])});
-  }
-  const auto& os_map = std::get<std::vector<std::int64_t>>(row[kOsCoreToCha]);
-  record.map.os_core_to_cha.assign(os_map.begin(), os_map.end());
-  const auto& llc_only = std::get<std::vector<std::int64_t>>(row[kLlcOnlyChas]);
-  record.map.llc_only_chas.assign(llc_only.begin(), llc_only.end());
-
+  // The inverse of the encoder's join: an empty name column is no
+  // metrics; otherwise every ';'-separated name is non-empty and new.
   const auto& names = std::get<std::string>(row[kMetricNames]);
   const auto& values = std::get<std::vector<double>>(row[kMetricValues]);
-  std::size_t value_index = 0;
+  std::size_t count = 0;
   std::size_t start = 0;
-  while (start < names.size()) {
-    std::size_t end = names.find(';', start);
-    if (end == std::string::npos) end = names.size();
-    if (value_index >= values.size()) {
-      throw std::runtime_error("fleet: survey record metric name/value mismatch");
-    }
-    record.metrics.emplace(names.substr(start, end - start), values[value_index]);
-    ++value_index;
+  while (!names.empty() && start <= names.size()) {
+    const std::size_t end = std::min(names.find(';', start), names.size());
+    if (end == start) refuse("has an empty metric name");
+    if (count == values.size()) refuse("metric name/value mismatch");
+    const auto [it, inserted] =
+        record.metrics.emplace(names.substr(start, end - start), values[count]);
+    if (!inserted) refuse("repeats metric \"" + it->first + "\"");
+    ++count;
     start = end + 1;
   }
-  if (value_index != values.size()) {
-    throw std::runtime_error("fleet: survey record metric name/value mismatch");
-  }
+  if (count != values.size()) refuse("metric name/value mismatch");
   return record;
 }
 

@@ -30,19 +30,23 @@
 
 namespace corelocate::fleet {
 
-/// Column layout of a survey-record segment. Indices and seeds are
-/// delta-coded (both are monotone in a serial or sharded stream); CHA
-/// positions interleave (row, col) pairs into one delta-coded list.
+/// Column layout of a survey-record segment: identity and outcome, the
+/// core::core_map_fields() columns, then the metrics. Indices and seeds
+/// are delta-coded (both are monotone in a serial or sharded stream).
 const recordio::Schema& survey_record_schema();
 
 /// Deterministic fields of `record` as a recordio row (schema order).
-/// Throws std::invalid_argument on an empty metric key or one holding
-/// ';' (the metric-name column's separator), so a bad key fails when it
-/// is written rather than when a resume or merge reads it back.
+/// Throws std::invalid_argument on a negative index (an unset record) and
+/// on an empty metric key or one holding ';' (the metric-name column's
+/// separator), so a bad record fails when it is written rather than when
+/// a resume or merge reads it back.
 recordio::Row encode_survey_record(const InstanceRecord& record);
 
 /// Inverse of encode_survey_record. Timing fields come back zero and
-/// from_checkpoint false — the segment never stored them.
+/// from_checkpoint false — the segment never stored them. Throws
+/// std::runtime_error on an index above INT_MAX, a map that
+/// core::decode_core_map refuses, or a metric name the encoder would
+/// refuse or that repeats.
 InstanceRecord decode_survey_record(const recordio::Row& row);
 
 /// Streams the records of the segment at `path`, which must be the

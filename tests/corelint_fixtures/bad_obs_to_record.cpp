@@ -19,7 +19,7 @@ struct SurveyRecord {
 };
 
 struct MapStore {
-  void serialize_map(double) {}
+  void encode_core_map(double) {}
 };
 
 namespace {
@@ -39,5 +39,5 @@ void fill_record(SurveyRecord& rec) {
 void persist(MapStore& store) {
   const obs::Clock::Time start = obs::Clock::now();
   const double elapsed = obs::Clock::seconds_since(start);
-  store.serialize_map(elapsed);  // corelint-expect: det-taint-flow
+  store.encode_core_map(elapsed);  // corelint-expect: det-taint-flow
 }

@@ -5,7 +5,8 @@
 
 #include <gtest/gtest.h>
 
-#include <sstream>
+#include <cstdio>
+#include <string>
 
 #include "corelocate/corelocate.hpp"
 
@@ -46,10 +47,11 @@ TEST(EndToEnd, MapStoreTransmitLifecycle) {
     ASSERT_TRUE(located.success) << located.message;
     store.put(located.map);
   }
-  // Serialize through a stream (what hits disk).
-  std::stringstream db;
-  store.save(db);
-  const core::MapStore reloaded = core::MapStore::load(db);
+  // Round-trip through the database file.
+  const std::string db = ::testing::TempDir() + "corelocate_e2e_maps.rio";
+  store.save_file(db);
+  const core::MapStore reloaded = core::MapStore::load_file(db);
+  std::remove(db.c_str());
 
   // --- rental #2: recognize the machine by PPIN, attack without root -------
   sim::VirtualXeon cpu(machine);

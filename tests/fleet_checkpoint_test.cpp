@@ -332,6 +332,7 @@ TEST_F(FleetCheckpointTest, ResumedRecordsStayOutOfTimingStats) {
 
 TEST_F(FleetCheckpointTest, BadMetricKeyFailsWhenWritten) {
   InstanceRecord record;
+  record.index = 0;  // a default record's index (-1) is refused on its own
   for (const std::string& key : {std::string(), std::string("a;b")}) {
     record.metrics = {{key, 1.0}};
     EXPECT_THROW(encode_survey_record(record), std::invalid_argument) << key;
@@ -345,6 +346,119 @@ TEST_F(FleetCheckpointTest, BadMetricKeyFailsWhenWritten) {
   options.analyze = [](const InstanceTask&, const LocatedInstance&,
                        InstanceRecord& bad) { bad.metrics["x;y"] = 1.0; };
   EXPECT_THROW(run_survey(sim::XeonModel::k8124M, options), std::invalid_argument);
+}
+
+/// Column index of the survey-record field called `name`.
+std::size_t survey_column(const std::string& name) {
+  const recordio::Schema& schema = survey_record_schema();
+  for (std::size_t i = 0; i < schema.size(); ++i) {
+    if (schema[i].name == name) return i;
+  }
+  ADD_FAILURE() << "no survey field " << name;
+  return 0;
+}
+
+TEST_F(FleetCheckpointTest, DecoderRefusesCraftedRows) {
+  // Rows with valid CRCs around values encode_survey_record never
+  // writes: each is refused when a resume or merge reads it back, never
+  // narrowed or misplaced into a record.
+  InstanceRecord good;
+  good.index = 0;
+  good.seed = 0xC0FFEEULL;
+  good.success = true;
+  good.map.rows = 2;
+  good.map.cols = 2;
+  good.map.cha_position = {{0, 0}, {1, 1}};
+  good.map.os_core_to_cha = {1};
+  good.map.llc_only_chas = {0};
+  good.metrics = {{"exact", 1.0}};
+  const auto big = std::uint64_t{1} << 31;
+  using Cells = std::vector<std::int64_t>;
+  struct Case {
+    const char* field;
+    recordio::Value value;
+    const char* needle;
+  };
+  const Case cases[] = {
+      {"index", big, "index 2147483648 exceeds INT_MAX"},
+      {"index", ~std::uint64_t{0}, "exceeds INT_MAX"},  // -1 would narrow back
+      {"success", std::uint64_t{2}, "success is neither 0 nor 1"},
+      {"map_rows", big, "map_rows 2147483648 exceeds INT_MAX"},
+      {"map_cols", std::uint64_t{1} << 32, "map_cols"},
+      {"cha_positions", Cells{0, 0, 1, 2}, "CHA position (1, 2) is outside the 2x2 grid"},
+      {"cha_positions", Cells{0, 0, 1}, "odd CHA position list"},
+      {"os_core_to_cha", Cells{2}, "os_core_to_cha entry 2"},
+      {"os_core_to_cha", Cells{-1}, "os_core_to_cha entry -1"},
+      {"llc_only_chas", Cells{std::int64_t{1} << 32}, "llc_only_chas entry"},
+  };
+  InstanceRecord unset = good;
+  unset.index = -1;
+  EXPECT_THROW(encode_survey_record(unset), std::invalid_argument);
+
+  const std::string path = (dir_ / "crafted.rio").string();
+  fs::create_directories(dir_);
+  const auto read_back = [&path, &good] {
+    read_segment(path, 0, 1, good.seed, [](InstanceRecord) {});
+  };
+  for (const Case& c : cases) {
+    recordio::Row row = encode_survey_record(good);
+    row[survey_column(c.field)] = c.value;
+    {
+      recordio::RecordWriter writer(path, survey_record_schema());
+      writer.append_row(row);
+      writer.close();
+    }
+    SCOPED_TRACE(c.field);
+    expect_refusal(read_back, c.needle);
+  }
+
+  // A failed locate's empty map still reads back.
+  InstanceRecord failed;
+  failed.index = 0;
+  failed.seed = good.seed;
+  failed.message = "no solution";
+  {
+    recordio::RecordWriter writer(path, survey_record_schema());
+    writer.append_row(encode_survey_record(failed));
+    writer.close();
+  }
+  std::vector<InstanceRecord> back;
+  read_segment(path, 0, 1, good.seed, [&back](InstanceRecord r) { back.push_back(r); });
+  ASSERT_EQ(back.size(), 1u);
+  EXPECT_FALSE(back[0].success);
+  EXPECT_EQ(back[0].map.rows, 0);
+  EXPECT_TRUE(back[0].map.cha_position.empty());
+}
+
+TEST_F(FleetCheckpointTest, DecoderRefusesMetricNamesTheEncoderRefuses) {
+  InstanceRecord record;
+  record.index = 0;
+  recordio::Row row = encode_survey_record(record);
+  const std::size_t names = survey_column("metric_names");
+  const std::size_t values = survey_column("metric_values");
+  struct Case {
+    const char* names;
+    std::size_t count;
+    const char* needle;
+  };
+  const Case cases[] = {
+      {"a;;b", 3, "empty metric name"},
+      {";a", 2, "empty metric name"},
+      {"a;", 2, "empty metric name"},
+      {"a;b;a", 3, "repeats metric \"a\""},
+      {"a;b", 1, "metric name/value mismatch"},
+      {"a", 2, "metric name/value mismatch"},
+      {"", 1, "metric name/value mismatch"},
+  };
+  for (const Case& c : cases) {
+    row[names] = std::string(c.names);
+    row[values] = std::vector<double>(c.count, 1.0);
+    expect_refusal([&row] { decode_survey_record(row); }, c.needle);
+  }
+  row[names] = std::string("a;b");
+  row[values] = std::vector<double>{1.0, 2.0};
+  EXPECT_EQ(decode_survey_record(row).metrics,
+            (std::map<std::string, double>{{"a", 1.0}, {"b", 2.0}}));
 }
 
 TEST_F(FleetCheckpointTest, ResumeWithoutDirectoryIsAnError) {

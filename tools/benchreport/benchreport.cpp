@@ -208,11 +208,11 @@ int run_compare(const std::vector<std::string>& paths, double max_regress,
         continue;
       }
       const double metric_budget = baseline_value * (1.0 + max_regress);
-      const bool regressed = current_value > metric_budget;
-      regressions += regressed ? 1 : 0;
+      const bool metric_regressed = current_value > metric_budget;
+      regressions += metric_regressed ? 1 : 0;
       metric_table.add_row({name, fmt_count(current_value),
                             fmt_count(baseline_value), fmt_count(metric_budget),
-                            regressed ? "REGRESSED" : "ok"});
+                            metric_regressed ? "REGRESSED" : "ok"});
     }
   }
 

@@ -125,7 +125,7 @@ void rule_det_rng_default_seed(const SourceFile& file,
 void rule_det_unordered_iter(const SourceFile& file, std::vector<Finding>& findings) {
   const std::string rule = "det-unordered-iter";
   static const char* kSinks[] = {"MapStore", "Aggregator",   "TablePrinter",
-                                 "add_row",  "print_csv",    "serialize_map",
+                                 "add_row",  "print_csv",    "encode_core_map",
                                  "manifest", "RecordWriter", "append_row"};
   const std::vector<std::string> idents = unordered_idents(file);
 

@@ -53,7 +53,7 @@ std::uint64_t translate(std::uint64_t mask, const std::vector<std::uint64_t>& ar
 const char* kSinkTypes[] = {"SurveyRecord", "InstanceRecord", "MapStore",
                             "Aggregator",   "TablePrinter",   "ResponseLog",
                             "RecordWriter"};
-const char* kSinkCalls[] = {"add_row", "print_csv", "serialize_map", "manifest",
+const char* kSinkCalls[] = {"add_row", "print_csv", "encode_core_map", "manifest",
                             "append_manifest", "append_response", "append_row"};
 
 bool sink_type_name(const std::string& word) {

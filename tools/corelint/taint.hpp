@@ -10,7 +10,7 @@
 // Sinks — anything that becomes part of a survey result:
 //   * SurveyRecord / InstanceRecord variables and their fields
 //   * MapStore / Aggregator / RecordWriter objects and their methods
-//   * the serialization helpers (add_row, print_csv, serialize_map,
+//   * the serialization helpers (add_row, print_csv, encode_core_map,
 //     manifest)
 //
 // The pass computes a per-function summary — which parameters flow into
