@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 #include <optional>
-#include <sstream>
 #include <stdexcept>
 #include <tuple>
 #include <unordered_map>
@@ -13,80 +12,6 @@
 namespace corelocate::core {
 
 namespace {
-
-/// Difference-constraint system: edges a->b with weight w encode
-/// X_b >= X_a + w. Solves for the elementwise-minimal non-negative
-/// assignment by longest-path fixpoint; reports infeasibility on positive
-/// cycles or when the extent exceeds `max_value`.
-class DifferenceSystem {
- public:
-  explicit DifferenceSystem(int variables)
-      : values_(static_cast<std::size_t>(variables), 0) {}
-
-  void add_edge(int from, int to, int weight) { edges_.push_back({from, to, weight}); }
-
-  /// Returns false on a positive cycle or if any value would exceed
-  /// `max_value`.
-  ///
-  /// Worklist relaxation instead of whole-edge-set Bellman-Ford passes:
-  /// values are integers that only rise, each relaxation raises one by at
-  /// least 1, and everything is capped at `max_value` — so a node
-  /// re-enters the list at most max_value+1 times and a positive cycle
-  /// necessarily winds some value past the cap. The fixpoint is the
-  /// unique elementwise-minimal solution either way, so results are
-  /// identical to the pass-based version.
-  bool solve(int max_value) {
-    std::fill(values_.begin(), values_.end(), 0);
-    const int n = static_cast<int>(values_.size());
-    // CSR adjacency so each node's out-edges are scanned contiguously.
-    std::vector<int> offsets(static_cast<std::size_t>(n) + 1, 0);
-    for (const Edge& e : edges_) ++offsets[static_cast<std::size_t>(e.from) + 1];
-    for (int i = 0; i < n; ++i) {
-      offsets[static_cast<std::size_t>(i) + 1] += offsets[static_cast<std::size_t>(i)];
-    }
-    std::vector<Edge> sorted(edges_.size());
-    {
-      std::vector<int> cursor = offsets;
-      for (const Edge& e : edges_) {
-        sorted[static_cast<std::size_t>(cursor[static_cast<std::size_t>(e.from)]++)] = e;
-      }
-    }
-    std::vector<char> queued(static_cast<std::size_t>(n), 1);
-    std::vector<int> work;
-    work.reserve(static_cast<std::size_t>(n) * 2);
-    for (int i = 0; i < n; ++i) work.push_back(i);
-    while (!work.empty()) {
-      const int node = work.back();
-      work.pop_back();
-      queued[static_cast<std::size_t>(node)] = 0;
-      for (int k = offsets[static_cast<std::size_t>(node)];
-           k < offsets[static_cast<std::size_t>(node) + 1]; ++k) {
-        const Edge& e = sorted[static_cast<std::size_t>(k)];
-        const int candidate = values_[static_cast<std::size_t>(e.from)] + e.weight;
-        if (candidate > values_[static_cast<std::size_t>(e.to)]) {
-          if (candidate > max_value) return false;
-          values_[static_cast<std::size_t>(e.to)] = candidate;
-          if (!queued[static_cast<std::size_t>(e.to)]) {
-            queued[static_cast<std::size_t>(e.to)] = 1;
-            work.push_back(e.to);
-          }
-        }
-      }
-    }
-    return true;
-  }
-
-  int value(int variable) const { return values_[static_cast<std::size_t>(variable)]; }
-
- private:
-  struct Edge {
-    int from;
-    int to;
-    int weight;
-  };
-  std::vector<Edge> edges_;
-  std::vector<int> values_;
-};
 
 /// Union-find over CHA ids for column classes.
 class UnionFind {
@@ -128,7 +53,6 @@ struct DirEdge {
 struct DirectionGroup {
   std::vector<DirEdge> east;
   std::vector<DirEdge> west;  // exact mirror of east (edges reversed)
-  int multiplicity = 0;       // how many paths share this bundle
 };
 
 std::vector<DirEdge> mirrored(const std::vector<DirEdge>& east) {
@@ -237,14 +161,13 @@ class IncrementalDiff {
 /// undo trail on backtrack.
 class DirectionSearch {
  public:
-  DirectionSearch(std::vector<DirectionGroup>& groups, int cha_count, int max_col,
+  DirectionSearch(const std::vector<DirectionGroup>& groups, int cha_count, int max_col,
                   std::int64_t max_nodes, std::vector<DirEdge> base_edges = {})
       : groups_(groups),
         cha_count_(cha_count),
         max_col_(max_col),
         max_nodes_(max_nodes),
         base_edges_(std::move(base_edges)) {
-    for (DirectionGroup& group : groups_) group.west = mirrored(group.east);
     // test() scans candidate edges by sorted `from`.
     std::sort(base_edges_.begin(), base_edges_.end());
   }
@@ -360,7 +283,7 @@ class DirectionSearch {
     return std::nullopt;
   }
 
-  std::vector<DirectionGroup>& groups_;
+  const std::vector<DirectionGroup>& groups_;
   int cha_count_;
   int max_col_;
   std::int64_t max_nodes_;
@@ -371,127 +294,109 @@ class DirectionSearch {
 
 }  // namespace
 
-DecomposedMapSolver::DecomposedMapSolver(DecomposedSolverOptions options)
-    : options_(options) {
-  if (options_.grid_rows <= 0 || options_.grid_cols <= 0) {
-    throw std::invalid_argument("DecomposedMapSolver: non-positive grid dimensions");
-  }
-}
+struct DecomposedSystem::Impl {
+  int cha_count = 0;
+  int grid_rows = 0;
+  int grid_cols = 0;
+  std::int64_t max_nodes = 0;
+  bool validate_model = false;
+  std::string invalid_reason;
 
-MapSolveResult DecomposedMapSolver::solve(const ObservationSet& observations,
-                                          int cha_count) const {
-  obs::Span span("decomposed_solve", "core");
-  MapSolveResult result;
-  if (const std::string err = validate_observations(observations, cha_count);
-      !err.empty()) {
-    result.message = "invalid observations: " + err;
-    return result;
-  }
-
-  // ---- Rows: pure difference constraints -----------------------------------
-  std::size_t activation_count = 0;
-  for (const PathObservation& obs : observations) {
-    activation_count += obs.activations.size();
-  }
+  // Rows: edges a->b with weight w encode R_b >= R_a + w. Paths sharing
+  // activations emit the same edge many times over, and a (from, to)
+  // pair is dominated by its largest weight, so only the maximal edge per
+  // pair is kept — same unique least solution, a fraction of the
+  // relaxation work. CSR by `from` (then `to`), so a node's out-edges
+  // are one contiguous scan.
+  std::vector<int> row_offsets;
   std::vector<ExtraEdge> row_edges;
-  // Every activation contributes exactly two row edges.
-  row_edges.reserve(activation_count * 2 + options_.extra_row_edges.size());
+
+  // Columns: each CHA's column class (vertical ingress pins it to the
+  // source column), and one direction group per distinct horizontal
+  // bundle, over class ids.
+  std::vector<int> column_class;
+  std::vector<DirectionGroup> groups;
+
+  void build_rows(const ObservationSet& observations);
+  void build_columns(const ObservationSet& observations);
+
+  /// Worklist relaxation of `rows` over the row edges plus `extra`, from
+  /// the nodes already on `work` (each flagged in `queued`). Values are
+  /// integers that only rise and are capped at grid_rows - 1, so a node
+  /// re-enters the list at most grid_rows times and a positive cycle
+  /// necessarily winds some value past the cap. Starting from any
+  /// assignment at or below the least fixpoint, it reaches exactly that
+  /// fixpoint or reports (false) that none fits under the cap.
+  bool relax_rows(std::vector<int>& rows, const std::vector<ExtraEdge>& extra,
+                  std::vector<int>& work, std::vector<char>& queued) const;
+
+  /// Least row fixpoint under `extra` from all-zero rows.
+  bool settle_rows(const std::vector<ExtraEdge>& extra, std::vector<int>& rows) const;
+
+  /// Debug cross-check (validate_model): mirror the row system as an
+  /// ilp::Model and require the static validator and the fixpoint's
+  /// verdict `rows_feasible` to agree.
+  void cross_check_rows(const std::vector<ExtraEdge>& extra, bool rows_feasible) const;
+
+  void check_extra_edges(const std::vector<ExtraEdge>& extra) const;
+};
+
+void DecomposedSystem::Impl::build_rows(const ObservationSet& observations) {
+  constexpr int kNoEdge = std::numeric_limits<int>::min();
+  const auto n = static_cast<std::size_t>(cha_count);
+  std::vector<int> best_weight(n * n, kNoEdge);
+  const auto add = [&](int from, int to, int weight) {
+    int& cell =
+        best_weight[static_cast<std::size_t>(from) * n + static_cast<std::size_t>(to)];
+    if (weight > cell) cell = weight;
+  };
   for (const PathObservation& obs : observations) {
     for (const ChannelActivation& act : obs.activations) {
       switch (act.label) {
         case mesh::ChannelLabel::kUp:
-          row_edges.push_back({act.cha, obs.source_cha, 1});  // R_s >= R_k + 1
-          row_edges.push_back({obs.sink_cha, act.cha, 0});    // R_k >= R_e
+          add(act.cha, obs.source_cha, 1);  // R_s >= R_k + 1
+          add(obs.sink_cha, act.cha, 0);    // R_k >= R_e
           break;
         case mesh::ChannelLabel::kDown:
-          row_edges.push_back({obs.source_cha, act.cha, 1});  // R_k >= R_s + 1
-          row_edges.push_back({act.cha, obs.sink_cha, 0});    // R_e >= R_k
+          add(obs.source_cha, act.cha, 1);  // R_k >= R_s + 1
+          add(act.cha, obs.sink_cha, 0);    // R_e >= R_k
           break;
         case mesh::ChannelLabel::kLeft:
         case mesh::ChannelLabel::kRight:
-          row_edges.push_back({act.cha, obs.sink_cha, 0});  // R_k = R_e
-          row_edges.push_back({obs.sink_cha, act.cha, 0});
+          add(act.cha, obs.sink_cha, 0);  // R_k = R_e
+          add(obs.sink_cha, act.cha, 0);
           break;
       }
     }
   }
-  row_edges.insert(row_edges.end(), options_.extra_row_edges.begin(),
-                   options_.extra_row_edges.end());
-  // Paths sharing activations emit the same edges many times over, and a
-  // (from, to) pair is dominated by its largest weight. Feed the fixpoint
-  // only the maximal edge per pair — same unique least solution, a
-  // fraction of the relaxation work. A flat max table does the dedup in
-  // one pass; sorting the edge list here used to dominate the whole
-  // solve. (The validator below still sees the raw edge list; dedup
-  // cannot change feasibility.)
-  constexpr int kNoEdge = std::numeric_limits<int>::min();
-  std::vector<int> best_weight(
-      static_cast<std::size_t>(cha_count) * static_cast<std::size_t>(cha_count),
-      kNoEdge);
-  for (const ExtraEdge& edge : row_edges) {
-    int& cell = best_weight[static_cast<std::size_t>(edge.from_cha) *
-                                static_cast<std::size_t>(cha_count) +
-                            static_cast<std::size_t>(edge.to_cha)];
-    if (edge.weight > cell) cell = edge.weight;
-  }
-  DifferenceSystem rows(cha_count);
+  row_offsets.assign(n + 1, 0);
+  row_edges.reserve(static_cast<std::size_t>(
+      std::count_if(best_weight.begin(), best_weight.end(),
+                    [](int weight) { return weight != kNoEdge; })));
   for (int from = 0; from < cha_count; ++from) {
     for (int to = 0; to < cha_count; ++to) {
-      const int weight = best_weight[static_cast<std::size_t>(from) *
-                                         static_cast<std::size_t>(cha_count) +
-                                     static_cast<std::size_t>(to)];
-      if (weight != kNoEdge) rows.add_edge(from, to, weight);
+      const int weight =
+          best_weight[static_cast<std::size_t>(from) * n + static_cast<std::size_t>(to)];
+      if (weight != kNoEdge) row_edges.push_back(ExtraEdge{from, to, weight});
     }
+    row_offsets[static_cast<std::size_t>(from) + 1] = static_cast<int>(row_edges.size());
   }
-  const bool rows_feasible = rows.solve(options_.grid_rows - 1);
+}
 
-  if (options_.validate_model) {
-    // Mirror the row system as an ILP and cross-check the static
-    // validator against the longest-path fixpoint: the validator's
-    // infeasibility proofs must never contradict a feasible fixpoint.
-    ilp::Model mirror;
-    std::vector<ilp::Variable> row_vars;
-    row_vars.reserve(static_cast<std::size_t>(cha_count));
-    for (int i = 0; i < cha_count; ++i) {
-      row_vars.push_back(mirror.add_integer(0, options_.grid_rows - 1,
-                                            "R" + std::to_string(i)));
-    }
-    for (const ExtraEdge& edge : row_edges) {
-      mirror.add_constraint(
-          ilp::LinExpr(row_vars[static_cast<std::size_t>(edge.to_cha)]) -
-              ilp::LinExpr(row_vars[static_cast<std::size_t>(edge.from_cha)]),
-          ilp::Sense::kGreaterEq, static_cast<double>(edge.weight));
-    }
-    ilp::ModelCheckOptions check_options;
-    // Bound propagation needs enough sweeps to walk the longest chain /
-    // wind a positive cycle past the grid bound.
-    check_options.propagation_rounds = cha_count + options_.grid_rows + 2;
-    const ilp::ModelCheckReport report = ilp::check_model(mirror, check_options);
-    if (report.structural()) {
-      throw std::logic_error("DecomposedMapSolver: malformed row mirror model: " +
-                             report.summary());
-    }
-    if (report.infeasible() && rows_feasible) {
-      throw std::logic_error(
-          "DecomposedMapSolver: model validator proves the row system "
-          "infeasible but the longest-path fixpoint found a solution: " +
-          report.summary());
-    }
-  }
-
-  if (!rows_feasible) {
-    result.message = "row constraints inconsistent (positive cycle or overflow)";
-    return result;
-  }
-
-  // ---- Columns: classes + direction search ---------------------------------
+void DecomposedSystem::Impl::build_columns(const ObservationSet& observations) {
   UnionFind classes(cha_count);
   for (const PathObservation& obs : observations) {
     for (const ChannelActivation& act : obs.activations) {
       if (mesh::is_vertical(act.label)) classes.unite(act.cha, obs.source_cha);
     }
   }
-  auto cls = [&classes](int cha) { return classes.find(cha); };
+  column_class.resize(static_cast<std::size_t>(cha_count));
+  for (int cha = 0; cha < cha_count; ++cha) {
+    column_class[static_cast<std::size_t>(cha)] = classes.find(cha);
+  }
+  const auto cls = [this](int cha) {
+    return column_class[static_cast<std::size_t>(cha)];
+  };
 
   // One direction group per distinct horizontal bundle (paths that induce
   // identical constraints share one decision). Hash-consed: buckets key
@@ -513,7 +418,6 @@ MapSolveResult DecomposedMapSolver::solve(const ObservationSet& observations,
   };
   std::unordered_map<std::uint64_t, std::vector<std::size_t>> group_buckets;
   group_buckets.reserve(observations.size());
-  std::vector<DirectionGroup> groups;
   groups.reserve(observations.size());
   std::vector<DirEdge> east;
   for (const PathObservation& obs : observations) {
@@ -530,49 +434,238 @@ MapSolveResult DecomposedMapSolver::solve(const ObservationSet& observations,
     std::sort(east.begin(), east.end());
     east.erase(std::unique(east.begin(), east.end()), east.end());
     std::vector<std::size_t>& bucket = group_buckets[hash_edges(east)];
-    std::size_t found = groups.size();
-    for (const std::size_t index : bucket) {
-      if (groups[index].east == east) {
-        found = index;
-        break;
-      }
-    }
-    if (found == groups.size()) {
+    const bool seen = std::any_of(bucket.begin(), bucket.end(), [&](std::size_t index) {
+      return groups[index].east == east;
+    });
+    if (!seen) {
       // A bucket holds one index per distinct bundle sharing a hash —
       // almost always exactly one; pre-reserving every bucket would cost
       // more than the rare growth.
       // corelint: disable(perf-alloc-in-hot-loop)
-      bucket.push_back(found);
+      bucket.push_back(groups.size());
       DirectionGroup group;
       group.east = east;
+      group.west = mirrored(east);
       groups.push_back(std::move(group));
     }
-    ++groups[found].multiplicity;
   }
+}
 
+bool DecomposedSystem::Impl::relax_rows(std::vector<int>& rows,
+                                        const std::vector<ExtraEdge>& extra,
+                                        std::vector<int>& work,
+                                        std::vector<char>& queued) const {
+  const int max_value = grid_rows - 1;
+  const auto relax = [&](const ExtraEdge& e) {
+    const int candidate = rows[static_cast<std::size_t>(e.from_cha)] + e.weight;
+    if (candidate <= rows[static_cast<std::size_t>(e.to_cha)]) return true;
+    if (candidate > max_value) return false;
+    rows[static_cast<std::size_t>(e.to_cha)] = candidate;
+    if (!queued[static_cast<std::size_t>(e.to_cha)]) {
+      queued[static_cast<std::size_t>(e.to_cha)] = 1;
+      work.push_back(e.to_cha);
+    }
+    return true;
+  };
+  while (!work.empty()) {
+    const int node = work.back();
+    work.pop_back();
+    queued[static_cast<std::size_t>(node)] = 0;
+    for (int k = row_offsets[static_cast<std::size_t>(node)];
+         k < row_offsets[static_cast<std::size_t>(node) + 1]; ++k) {
+      if (!relax(row_edges[static_cast<std::size_t>(k)])) return false;
+    }
+    for (const ExtraEdge& e : extra) {
+      if (e.from_cha == node && !relax(e)) return false;
+    }
+  }
+  return true;
+}
+
+bool DecomposedSystem::Impl::settle_rows(const std::vector<ExtraEdge>& extra,
+                                         std::vector<int>& rows) const {
+  const auto n = static_cast<std::size_t>(cha_count);
+  rows.assign(n, 0);
+  std::vector<char> queued(n, 1);
+  std::vector<int> work;
+  work.reserve(n * 2);
+  for (int i = 0; i < cha_count; ++i) work.push_back(i);
+  const bool feasible = relax_rows(rows, extra, work, queued);
+  cross_check_rows(extra, feasible);
+  return feasible;
+}
+
+void DecomposedSystem::Impl::cross_check_rows(const std::vector<ExtraEdge>& extra,
+                                              bool rows_feasible) const {
+  if (!validate_model) return;
+  // The validator's infeasibility proofs must never contradict a
+  // feasible fixpoint. Dropping dominated duplicate edges cannot change
+  // feasibility, so the mirror takes the deduplicated table.
+  ilp::Model mirror;
+  std::vector<ilp::Variable> row_vars;
+  row_vars.reserve(static_cast<std::size_t>(cha_count));
+  for (int i = 0; i < cha_count; ++i) {
+    row_vars.push_back(mirror.add_integer(0, grid_rows - 1, "R" + std::to_string(i)));
+  }
+  const auto add = [&](const ExtraEdge& edge) {
+    mirror.add_constraint(
+        ilp::LinExpr(row_vars[static_cast<std::size_t>(edge.to_cha)]) -
+            ilp::LinExpr(row_vars[static_cast<std::size_t>(edge.from_cha)]),
+        ilp::Sense::kGreaterEq, static_cast<double>(edge.weight));
+  };
+  for (const ExtraEdge& edge : row_edges) add(edge);
+  for (const ExtraEdge& edge : extra) add(edge);
+  ilp::ModelCheckOptions check_options;
+  // Bound propagation needs enough sweeps to walk the longest chain /
+  // wind a positive cycle past the grid bound.
+  check_options.propagation_rounds = cha_count + grid_rows + 2;
+  const ilp::ModelCheckReport report = ilp::check_model(mirror, check_options);
+  if (report.structural()) {
+    throw std::logic_error("DecomposedMapSolver: malformed row mirror model: " +
+                           report.summary());
+  }
+  if (report.infeasible() && rows_feasible) {
+    throw std::logic_error(
+        "DecomposedMapSolver: model validator proves the row system "
+        "infeasible but the longest-path fixpoint found a solution: " +
+        report.summary());
+  }
+}
+
+void DecomposedSystem::Impl::check_extra_edges(
+    const std::vector<ExtraEdge>& extra) const {
+  for (const ExtraEdge& edge : extra) {
+    if (edge.from_cha < 0 || edge.from_cha >= cha_count || edge.to_cha < 0 ||
+        edge.to_cha >= cha_count) {
+      throw std::invalid_argument("DecomposedMapSolver: extra edge names an unknown CHA");
+    }
+  }
+}
+
+DecomposedSystem::DecomposedSystem(const ObservationSet& observations, int cha_count,
+                                   const DecomposedSolverOptions& options) {
+  auto impl = std::make_unique<Impl>();
+  impl->cha_count = cha_count;
+  impl->grid_rows = options.grid_rows;
+  impl->grid_cols = options.grid_cols;
+  impl->max_nodes = options.max_nodes;
+  impl->validate_model = options.validate_model;
+  impl->invalid_reason = validate_observations(observations, cha_count);
+  if (impl->invalid_reason.empty()) {
+    impl->build_rows(observations);
+    impl->build_columns(observations);
+  }
+  impl_ = std::move(impl);
+}
+
+DecomposedSystem::~DecomposedSystem() = default;
+
+std::size_t DecomposedSystem::direction_group_count() const noexcept {
+  return impl_->groups.size();
+}
+
+bool DecomposedSystem::settle_rows_after(const std::vector<ExtraEdge>& extra_row_edges,
+                                         std::vector<int>& rows) const {
+  if (extra_row_edges.empty()) {
+    throw std::invalid_argument("DecomposedSystem::settle_rows_after: no new edge");
+  }
+  impl_->check_extra_edges(extra_row_edges);
+  // Every other edge is already satisfied, so only the new edge can move
+  // a value: relax it, then whatever it raised.
+  const auto n = static_cast<std::size_t>(impl_->cha_count);
+  std::vector<char> queued(n, 0);
+  std::vector<int> work;
+  const ExtraEdge& added = extra_row_edges.back();
+  const int candidate = rows[static_cast<std::size_t>(added.from_cha)] + added.weight;
+  bool feasible = true;
+  if (candidate > rows[static_cast<std::size_t>(added.to_cha)]) {
+    if (candidate > impl_->grid_rows - 1) {
+      feasible = false;
+    } else {
+      rows[static_cast<std::size_t>(added.to_cha)] = candidate;
+      queued[static_cast<std::size_t>(added.to_cha)] = 1;
+      work.push_back(added.to_cha);
+      feasible = impl_->relax_rows(rows, extra_row_edges, work, queued);
+    }
+  }
+  impl_->cross_check_rows(extra_row_edges, feasible);
+  return feasible;
+}
+
+DecomposedSystem::ColumnSearch DecomposedSystem::search_columns(
+    const std::vector<ExtraEdge>& extra_col_edges) const {
+  impl_->check_extra_edges(extra_col_edges);
+  const auto cls = [this](int cha) {
+    return impl_->column_class[static_cast<std::size_t>(cha)];
+  };
   std::vector<DirEdge> base_edges;
-  base_edges.reserve(options_.extra_col_edges.size());
-  for (const ExtraEdge& edge : options_.extra_col_edges) {
+  base_edges.reserve(extra_col_edges.size());
+  for (const ExtraEdge& edge : extra_col_edges) {
     base_edges.push_back(DirEdge{cls(edge.from_cha), cls(edge.to_cha), edge.weight});
   }
-  DirectionSearch search(groups, cha_count, options_.grid_cols - 1, options_.max_nodes,
-                         std::move(base_edges));
-  const std::optional<std::vector<int>> columns = search.run(result.nodes);
-  span.arg("nodes", obs::Json(result.nodes));
-  span.arg("direction_groups", obs::Json(groups.size()));
-  if (!columns.has_value()) {
-    result.message = search.budget_exceeded() ? "direction search node budget exceeded"
-                                              : "column constraints inconsistent";
+  DirectionSearch search(impl_->groups, impl_->cha_count, impl_->grid_cols - 1,
+                         impl_->max_nodes, std::move(base_edges));
+  ColumnSearch out;
+  const std::optional<std::vector<int>> class_columns = search.run(out.nodes);
+  out.budget_exceeded = search.budget_exceeded();
+  if (class_columns.has_value()) {
+    std::vector<int>& columns =
+        out.columns.emplace(static_cast<std::size_t>(impl_->cha_count));
+    for (int cha = 0; cha < impl_->cha_count; ++cha) {
+      columns[static_cast<std::size_t>(cha)] =
+          (*class_columns)[static_cast<std::size_t>(cls(cha))];
+    }
+  }
+  return out;
+}
+
+MapSolveResult DecomposedSystem::solve(
+    const std::vector<ExtraEdge>& extra_row_edges,
+    const std::vector<ExtraEdge>& extra_col_edges) const {
+  MapSolveResult result;
+  if (!impl_->invalid_reason.empty()) {
+    result.message = "invalid observations: " + impl_->invalid_reason;
     return result;
   }
-
+  impl_->check_extra_edges(extra_row_edges);
+  std::vector<int> rows;
+  if (!impl_->settle_rows(extra_row_edges, rows)) {
+    result.message = "row constraints inconsistent (positive cycle or overflow)";
+    return result;
+  }
+  ColumnSearch columns = search_columns(extra_col_edges);
+  result.nodes = columns.nodes;
+  if (!columns.columns.has_value()) {
+    result.message = columns.budget_exceeded ? "direction search node budget exceeded"
+                                             : "column constraints inconsistent";
+    return result;
+  }
   result.success = true;
   result.message = "decomposed";
-  result.cha_position.resize(static_cast<std::size_t>(cha_count));
-  for (int cha = 0; cha < cha_count; ++cha) {
+  result.cha_position.resize(static_cast<std::size_t>(impl_->cha_count));
+  for (int cha = 0; cha < impl_->cha_count; ++cha) {
     result.cha_position[static_cast<std::size_t>(cha)] =
-        mesh::Coord{rows.value(cha), (*columns)[static_cast<std::size_t>(cls(cha))]};
+        mesh::Coord{rows[static_cast<std::size_t>(cha)],
+                    (*columns.columns)[static_cast<std::size_t>(cha)]};
   }
+  return result;
+}
+
+DecomposedMapSolver::DecomposedMapSolver(DecomposedSolverOptions options)
+    : options_(options) {
+  if (options_.grid_rows <= 0 || options_.grid_cols <= 0) {
+    throw std::invalid_argument("DecomposedMapSolver: non-positive grid dimensions");
+  }
+}
+
+MapSolveResult DecomposedMapSolver::solve(const ObservationSet& observations,
+                                          int cha_count) const {
+  obs::Span span("decomposed_solve", "core");
+  const DecomposedSystem system(observations, cha_count, options_);
+  MapSolveResult result =
+      system.solve(options_.extra_row_edges, options_.extra_col_edges);
+  span.arg("nodes", obs::Json(result.nodes));
+  span.arg("direction_groups", obs::Json(system.direction_group_count()));
   return result;
 }
 

@@ -23,6 +23,11 @@
 // Equivalent to the ILP on every instance (cross-checked in tests), but
 // polynomial outside the direction search — fleet-scale fast.
 
+#include <memory>
+#include <optional>
+#include <string>
+#include <vector>
+
 #include "core/ilp_map_solver.hpp"
 #include "core/observation.hpp"
 
@@ -52,10 +57,60 @@ struct DecomposedSolverOptions {
   bool validate_model = ilp::kValidateModelsByDefault;
 };
 
+/// The part of a decomposed solve that depends only on the observations,
+/// the CHA count and the grid, built once: the validated observations,
+/// the deduplicated row edge table, the column classes, and the direction
+/// groups with their west mirrors. solve() runs it under extra row and
+/// column edges; refinement trials call its two halves directly —
+/// settle_rows_after() for one more row edge, search_columns() for a new
+/// column edge set — and reuse the committed other half, which a row edge
+/// or a column edge cannot change.
+class DecomposedSystem {
+ public:
+  /// `options` supplies the grid, the node budget and validate_model; its
+  /// extra edges are ignored (solve() takes them).
+  DecomposedSystem(const ObservationSet& observations, int cha_count,
+                   const DecomposedSolverOptions& options);
+  ~DecomposedSystem();
+
+  std::size_t direction_group_count() const noexcept;
+
+  /// The whole solve under `extra_row_edges` and `extra_col_edges`.
+  /// Observations validate_observations refuses fail here, with its
+  /// diagnostic; the two halves below require valid observations. An
+  /// extra edge naming an unknown CHA throws std::invalid_argument.
+  MapSolveResult solve(const std::vector<ExtraEdge>& extra_row_edges,
+                       const std::vector<ExtraEdge>& extra_col_edges) const;
+
+  /// Incremental rows: `rows` holds the least row fixpoint under every
+  /// edge of `extra_row_edges` but its last. Raises it to the least
+  /// fixpoint under all of them by relaxing from the last edge only;
+  /// returns false (leaving `rows` unspecified) when that system is
+  /// infeasible. Same answer and same `grid_rows - 1` cap as a cold
+  /// settle, and the same validate_model cross-check.
+  bool settle_rows_after(const std::vector<ExtraEdge>& extra_row_edges,
+                         std::vector<int>& rows) const;
+
+  /// The direction search under `extra_col_edges`: per-CHA columns, or
+  /// none when the column system is infeasible or the node budget ran out.
+  struct ColumnSearch {
+    std::optional<std::vector<int>> columns;
+    std::int64_t nodes = 0;
+    bool budget_exceeded = false;
+  };
+  ColumnSearch search_columns(const std::vector<ExtraEdge>& extra_col_edges) const;
+
+ private:
+  struct Impl;
+  std::unique_ptr<const Impl> impl_;
+};
+
 class DecomposedMapSolver {
  public:
   explicit DecomposedMapSolver(DecomposedSolverOptions options = {});
 
+  /// Builds a DecomposedSystem and solves it under the options' extra
+  /// edges.
   MapSolveResult solve(const ObservationSet& observations, int cha_count) const;
 
  private:

@@ -41,13 +41,18 @@ struct MapSolveResult {
   std::int64_t lp_iterations = 0;
   /// Search-size diagnostics from branch & bound (zero for engines that
   /// never enter it). A solution-cache hit replays the cold solve's
-  /// values, so the whole struct is byte-identical either way.
+  /// values, so the struct is byte-identical either way but for the two
+  /// observability fields below.
   std::int64_t nodes_pruned = 0;
   std::int64_t lp_solves_avoided = 0;
   /// True when the result came out of the solution cache without a
   /// solve. Observability only — never recorded into survey data, where
   /// it would depend on work partitioning.
   bool cache_hit = false;
+  /// Refinement trials this call ran: set by the refined engine, zero
+  /// for the others and for a cache hit, which runs none. Observability
+  /// only, like cache_hit, and never stored in the cache.
+  std::int64_t refine_trials = 0;
 };
 
 struct IlpMapSolverOptions {

@@ -101,6 +101,7 @@ MapSolveResult MapSolver::solve(const ObservationSet& observations, int cha_coun
     options.grid_cols = decomposed_.grid_cols;
     RefinementResult refined = solve_with_refinement(observations, cha_count, options);
     result = std::move(refined.solved);
+    result.refine_trials = refined.trials;
     if (result.success) {
       result.message +=
           " (+" + std::to_string(refined.cuts_added) + " negative-information cuts)";

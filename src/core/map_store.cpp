@@ -131,13 +131,19 @@ std::vector<std::uint64_t> MapStore::ppins() const {
 }
 
 void MapStore::save_file(const std::string& path) const {
-  recordio::RecordWriter writer(path, core_map_fields());
-  recordio::Row row(kCoreMapFieldCount);
-  for (const auto& [ppin, map] : maps_) {
-    encode_core_map(map, 0, &row);
-    writer.append_row(row);
+  // Stage and rename, so a crash or a full disk mid-save leaves the
+  // previous database whole.
+  const std::string staging = path + ".tmp";
+  {
+    recordio::RecordWriter writer(staging, core_map_fields());
+    recordio::Row row(kCoreMapFieldCount);
+    for (const auto& [ppin, map] : maps_) {
+      encode_core_map(map, 0, &row);
+      writer.append_row(row);
+    }
+    writer.close();
   }
-  writer.close();
+  std::filesystem::rename(staging, path);
 }
 
 MapStore MapStore::load_file(const std::string& path) {

@@ -60,8 +60,10 @@ class MapStore {
   std::vector<std::uint64_t> ppins() const;
 
   /// Writes the store as a recordio segment, one row per PPIN in
-  /// ascending order, so equal stores save equal bytes. Throws
-  /// std::runtime_error on I/O failure.
+  /// ascending order, so equal stores save equal bytes. The segment is
+  /// staged at `<path>.tmp` and renamed over `path`, so a failed save
+  /// leaves the previous file as it was. Throws std::runtime_error on
+  /// I/O failure.
   void save_file(const std::string& path) const;
 
   /// Reads a segment written by save_file. A missing file is an empty

@@ -84,41 +84,45 @@ std::string validate_observations(const ObservationSet& observations, int cha_co
   return {};
 }
 
+namespace detail {
+
+PlacedTiles::PlacedTiles(const std::vector<mesh::Coord>& positions, int grid_rows,
+                         int grid_cols)
+    : rows_(grid_rows), cols_(grid_cols) {
+  if (grid_rows <= 0 || grid_cols <= 0) {
+    throw std::invalid_argument("implied_ingress: non-positive grid dimensions");
+  }
+  offsets_.assign(
+      static_cast<std::size_t>(grid_rows) * static_cast<std::size_t>(grid_cols) + 1, 0);
+  // Counting sort by tile: CHAs arrive ascending, so each tile's run is
+  // ascending too.
+  for (const mesh::Coord& c : positions) {
+    if (in_bounds(c)) ++offsets_[static_cast<std::size_t>(c.row * cols_ + c.col) + 1];
+  }
+  for (std::size_t t = 1; t < offsets_.size(); ++t) offsets_[t] += offsets_[t - 1];
+  chas_.resize(static_cast<std::size_t>(offsets_.back()));
+  std::vector<int> cursor(offsets_.begin(), offsets_.end() - 1);
+  for (std::size_t cha = 0; cha < positions.size(); ++cha) {
+    const mesh::Coord& c = positions[cha];
+    if (!in_bounds(c)) continue;
+    int& slot = cursor[static_cast<std::size_t>(c.row * cols_ + c.col)];
+    chas_[static_cast<std::size_t>(slot++)] = static_cast<int>(cha);
+  }
+}
+
+}  // namespace detail
+
 std::vector<ImpliedIngress> implied_ingress(const std::vector<mesh::Coord>& positions,
                                             const ObservationSet& observations,
                                             int grid_rows, int grid_cols) {
-  const mesh::TileGrid grid(grid_rows, grid_cols);
-  // Tile -> CHAs index, built once per placement: sorted (tile, cha)
-  // pairs, so the CHAs on one tile are contiguous and ascending.
-  std::vector<std::pair<std::size_t, int>> placed;
-  placed.reserve(positions.size());
-  for (std::size_t cha = 0; cha < positions.size(); ++cha) {
-    if (grid.in_bounds(positions[cha])) {
-      placed.emplace_back(grid.index_of(positions[cha]), static_cast<int>(cha));
-    }
-  }
-  std::sort(placed.begin(), placed.end());
-
   std::vector<ImpliedIngress> implied;
   std::size_t activations = 0;
   for (const PathObservation& obs : observations) activations += obs.activations.size();
   implied.reserve(activations);  // exact for a placement that explains them
-  for (std::size_t p = 0; p < observations.size(); ++p) {
-    const PathObservation& obs = observations[p];
-    const mesh::Coord source = positions[static_cast<std::size_t>(obs.source_cha)];
-    const mesh::Coord sink = positions[static_cast<std::size_t>(obs.sink_cha)];
-    if (!grid.in_bounds(source) || !grid.in_bounds(sink)) {
-      throw std::out_of_range("implied_ingress: endpoint placed off the grid");
-    }
-    mesh::for_each_yx_hop(source, sink, [&](const mesh::Hop& hop) {
-      const mesh::ChannelLabel label = mesh::ingress_label(hop.direction, hop.receiver);
-      const std::size_t tile = grid.index_of(hop.receiver);
-      for (auto it = std::lower_bound(placed.begin(), placed.end(), std::pair{tile, -1});
-           it != placed.end() && it->first == tile; ++it) {
-        implied.push_back(ImpliedIngress{p, it->second, label});
-      }
-    });
-  }
+  for_each_implied_ingress(positions, observations, grid_rows, grid_cols,
+                           [&implied](std::size_t p, int cha, mesh::ChannelLabel label) {
+                             implied.push_back(ImpliedIngress{p, cha, label});
+                           });
   return implied;
 }
 

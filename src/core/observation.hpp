@@ -8,6 +8,8 @@
 // reveal the travel direction.
 
 #include <cstdint>
+#include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -61,6 +63,59 @@ std::string validate_observations(const ObservationSet& observations, int cha_co
 /// fingerprint.
 std::uint64_t observation_signature(const ObservationSet& observations);
 
+namespace detail {
+
+/// Tile -> CHAs index of a placement: a dense per-tile table (CSR over
+/// row-major tile ids), CHAs ascending within a tile. CHAs placed off the
+/// grid are left out.
+class PlacedTiles {
+ public:
+  PlacedTiles(const std::vector<mesh::Coord>& positions, int grid_rows, int grid_cols);
+
+  bool in_bounds(const mesh::Coord& c) const noexcept {
+    return c.row >= 0 && c.row < rows_ && c.col >= 0 && c.col < cols_;
+  }
+  /// The CHAs placed on in-bounds tile `c`.
+  std::span<const int> at(const mesh::Coord& c) const noexcept {
+    const auto tile = static_cast<std::size_t>(c.row * cols_ + c.col);
+    return {chas_.data() + offsets_[tile], chas_.data() + offsets_[tile + 1]};
+  }
+
+ private:
+  int rows_;
+  int cols_;
+  std::vector<int> offsets_;  ///< rows_ * cols_ + 1
+  std::vector<int> chas_;
+};
+
+}  // namespace detail
+
+/// The one consistency walk: calls visit(observation, cha, label) for
+/// every ingress `positions` (per CHA) implies for `observations` on a
+/// grid_rows x grid_cols mesh, in observation order, then hop order, then
+/// ascending CHA id within a tile. Observation endpoints must be placed
+/// on the grid (else std::out_of_range); other CHAs placed off it imply
+/// nothing. implied_ingress, check_consistency and refinement's
+/// violation scans are all callers of this walk.
+template <typename Visit>
+void for_each_implied_ingress(const std::vector<mesh::Coord>& positions,
+                              const ObservationSet& observations, int grid_rows,
+                              int grid_cols, Visit&& visit) {
+  const detail::PlacedTiles placed(positions, grid_rows, grid_cols);
+  for (std::size_t p = 0; p < observations.size(); ++p) {
+    const PathObservation& obs = observations[p];
+    const mesh::Coord source = positions[static_cast<std::size_t>(obs.source_cha)];
+    const mesh::Coord sink = positions[static_cast<std::size_t>(obs.sink_cha)];
+    if (!placed.in_bounds(source) || !placed.in_bounds(sink)) {
+      throw std::out_of_range("implied_ingress: endpoint placed off the grid");
+    }
+    mesh::for_each_yx_hop(source, sink, [&](const mesh::Hop& hop) {
+      const mesh::ChannelLabel label = mesh::ingress_label(hop.direction, hop.receiver);
+      for (const int cha : placed.at(hop.receiver)) visit(p, cha, label);
+    });
+  }
+}
+
 /// One ingress a candidate placement implies: re-routed on the placed
 /// grid, observation `observation`'s path enters the tile of CHA `cha` on
 /// channel `label`.
@@ -70,13 +125,7 @@ struct ImpliedIngress {
   mesh::ChannelLabel label{mesh::ChannelLabel::kUp};
 };
 
-/// The one consistency walk: lists every ingress `positions` (per CHA)
-/// implies for `observations` on a grid_rows x grid_cols mesh, in
-/// observation order, then hop order, then ascending CHA id within a
-/// tile. Observation endpoints must be placed on the grid (else
-/// std::out_of_range); other CHAs placed off it imply nothing. Both the
-/// consistency report below and refinement's violation scan filter
-/// this list.
+/// for_each_implied_ingress's ingresses as a list, in walk order.
 std::vector<ImpliedIngress> implied_ingress(const std::vector<mesh::Coord>& positions,
                                             const ObservationSet& observations,
                                             int grid_rows, int grid_cols);

@@ -2,32 +2,10 @@
 
 #include <algorithm>
 #include <limits>
-#include <optional>
 
 namespace corelocate::core {
 
 namespace {
-
-/// The quiet CHAs the candidate map places on a probe's route: implied
-/// ingress at a CHA other than the probe's endpoints that reported no
-/// activation. Any activation at the CHA counts: a label mismatch is a
-/// parity artifact of the candidate placement, not evidence the tile was
-/// quiet.
-std::vector<ImpliedIngress> find_violations(const std::vector<mesh::Coord>& positions,
-                                            const ObservationSet& observations,
-                                            const RefinementOptions& options) {
-  std::vector<ImpliedIngress> violations = implied_ingress(
-      positions, observations, options.grid_rows, options.grid_cols);
-  std::erase_if(violations, [&observations](const ImpliedIngress& implied) {
-    const PathObservation& obs = observations[implied.observation];
-    return implied.cha == obs.source_cha || implied.cha == obs.sink_cha ||
-           std::any_of(obs.activations.begin(), obs.activations.end(),
-                       [&implied](const ChannelActivation& act) {
-                         return act.cha == implied.cha;
-                       });
-  });
-  return violations;
-}
 
 /// The candidate cuts excluding `v.cha` from the offending leg. Each cut
 /// is one difference edge in the row or column system.
@@ -76,6 +54,42 @@ std::vector<Cut> cuts_for(const ImpliedIngress& v, const ObservationSet& observa
 
 }  // namespace
 
+ViolationScan::ViolationScan(const ObservationSet& observations, int cha_count,
+                             const RefinementOptions& options)
+    : observations_(observations),
+      cha_count_(static_cast<std::size_t>(cha_count)),
+      grid_rows_(options.grid_rows),
+      grid_cols_(options.grid_cols),
+      excused_(observations.size() * cha_count_, 0) {
+  for (std::size_t p = 0; p < observations.size(); ++p) {
+    const PathObservation& obs = observations[p];
+    excuse(p, obs.source_cha);
+    excuse(p, obs.sink_cha);
+    for (const ChannelActivation& act : obs.activations) excuse(p, act.cha);
+  }
+}
+
+std::vector<ImpliedIngress> ViolationScan::list(
+    const std::vector<mesh::Coord>& positions) const {
+  std::vector<ImpliedIngress> violations;
+  for_each_implied_ingress(positions, observations_, grid_rows_, grid_cols_,
+                           [&](std::size_t p, int cha, mesh::ChannelLabel label) {
+                             if (!excused(p, cha)) {
+                               violations.push_back(ImpliedIngress{p, cha, label});
+                             }
+                           });
+  return violations;
+}
+
+std::size_t ViolationScan::count(const std::vector<mesh::Coord>& positions) const {
+  std::size_t violations = 0;
+  for_each_implied_ingress(positions, observations_, grid_rows_, grid_cols_,
+                           [&](std::size_t p, int cha, mesh::ChannelLabel) {
+                             violations += !excused(p, cha);
+                           });
+  return violations;
+}
+
 RefinementResult solve_with_refinement(const ObservationSet& observations,
                                        int cha_count,
                                        const RefinementOptions& options) {
@@ -83,11 +97,19 @@ RefinementResult solve_with_refinement(const ObservationSet& observations,
   DecomposedSolverOptions solver_options;
   solver_options.grid_rows = options.grid_rows;
   solver_options.grid_cols = options.grid_cols;
+  const DecomposedSystem system(observations, cha_count, solver_options);
+  // Committed cuts per system, plus room for the one a trial appends.
+  std::vector<ExtraEdge> row_edges;
+  std::vector<ExtraEdge> col_edges;
+  const auto edge_room =
+      static_cast<std::size_t>(std::max(options.max_iterations, 0)) + 1;
+  row_edges.reserve(edge_room);
+  col_edges.reserve(edge_room);
 
-  result.solved = DecomposedMapSolver(solver_options).solve(observations, cha_count);
+  result.solved = system.solve(row_edges, col_edges);
   if (!result.solved.success) return result;
-  std::vector<ImpliedIngress> violations =
-      find_violations(result.solved.cha_position, observations, options);
+  const ViolationScan scan(observations, cha_count, options);
+  std::vector<ImpliedIngress> violations = scan.list(result.solved.cha_position);
   result.initial_violations = static_cast<int>(violations.size());
   result.final_violations = result.initial_violations;
 
@@ -97,49 +119,64 @@ RefinementResult solve_with_refinement(const ObservationSet& observations,
   // violation count temporarily plateaus.
   constexpr std::size_t kScanWidth = 16;
 
+  // A trial's map equals a full solve with the cut added: a row edge
+  // cannot change the direction search (columns and nodes stay the
+  // committed ones), and a column edge cannot change the row fixpoint.
+  const auto n = static_cast<std::size_t>(cha_count);
+  std::vector<int> rows(n);
+  std::vector<mesh::Coord> trial(n);
+  std::vector<mesh::Coord> best_positions(n);
   while (!violations.empty() && result.iterations < options.max_iterations) {
     ++result.iterations;
-    std::optional<MapSolveResult> best_solved;
+    const std::vector<mesh::Coord>& committed = result.solved.cha_position;
+    bool found = false;
     std::size_t best_violation_count = std::numeric_limits<std::size_t>::max();
+    std::int64_t best_nodes = 0;
     Cut best_cut{};
-    const std::size_t scan = std::min(kScanWidth, violations.size());
-    for (std::size_t v = 0; v < scan; ++v) {
-      for (const Cut& cut :
-           cuts_for(violations[v], observations, result.solved.cha_position)) {
-        DecomposedSolverOptions trial = solver_options;
-        // The copy's vectors have no slack; size the one-edge append.
-        trial.extra_row_edges.reserve(trial.extra_row_edges.size() + 1);
-        trial.extra_col_edges.reserve(trial.extra_col_edges.size() + 1);
+    const std::size_t scan_width = std::min(kScanWidth, violations.size());
+    for (std::size_t v = 0; v < scan_width; ++v) {
+      for (const Cut& cut : cuts_for(violations[v], observations, committed)) {
+        ++result.trials;
+        std::int64_t nodes = result.solved.nodes;
         if (cut.row_system) {
-          trial.extra_row_edges.push_back(cut.edge);
+          for (std::size_t cha = 0; cha < n; ++cha) rows[cha] = committed[cha].row;
+          row_edges.push_back(cut.edge);
+          const bool feasible = system.settle_rows_after(row_edges, rows);
+          row_edges.pop_back();
+          if (!feasible) continue;
+          for (std::size_t cha = 0; cha < n; ++cha) {
+            trial[cha] = mesh::Coord{rows[cha], committed[cha].col};
+          }
         } else {
-          trial.extra_col_edges.push_back(cut.edge);
+          col_edges.push_back(cut.edge);
+          const DecomposedSystem::ColumnSearch search = system.search_columns(col_edges);
+          col_edges.pop_back();
+          if (!search.columns.has_value()) continue;
+          for (std::size_t cha = 0; cha < n; ++cha) {
+            trial[cha] = mesh::Coord{committed[cha].row, (*search.columns)[cha]};
+          }
+          nodes = search.nodes;
         }
-        const MapSolveResult solved =
-            DecomposedMapSolver(trial).solve(observations, cha_count);
-        if (!solved.success) continue;
-        const std::size_t count =
-            find_violations(solved.cha_position, observations, options).size();
+        const std::size_t count = scan.count(trial);
         if (count < best_violation_count) {
           best_violation_count = count;
-          best_solved = solved;
+          best_positions = trial;
+          best_nodes = nodes;
           best_cut = cut;
+          found = true;
         }
       }
     }
-    if (!best_solved.has_value()) break;  // every candidate cut infeasible
+    if (!found) break;  // every candidate cut infeasible
     if (best_violation_count >= violations.size() &&
         result.iterations > options.max_iterations / 2) {
       break;  // plateauing late: stop rather than churn the budget
     }
-    if (best_cut.row_system) {
-      solver_options.extra_row_edges.push_back(best_cut.edge);
-    } else {
-      solver_options.extra_col_edges.push_back(best_cut.edge);
-    }
+    (best_cut.row_system ? row_edges : col_edges).push_back(best_cut.edge);
     ++result.cuts_added;
-    result.solved = std::move(*best_solved);
-    violations = find_violations(result.solved.cha_position, observations, options);
+    result.solved.cha_position.swap(best_positions);
+    result.solved.nodes = best_nodes;
+    violations = scan.list(result.solved.cha_position);
     result.final_violations = static_cast<int>(violations.size());
   }
   return result;

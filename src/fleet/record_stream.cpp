@@ -53,8 +53,9 @@ enum Column : std::size_t {
   kColumnCount,
 };
 
+/// read_segment prefixes these with "fleet: <path>: ".
 [[noreturn]] void refuse(const std::string& what) {
-  throw std::runtime_error("fleet: survey record " + what);
+  throw std::runtime_error("survey record " + what);
 }
 
 }  // namespace
@@ -160,7 +161,12 @@ int read_segment(const std::string& path, int first, int limit,
       throw std::runtime_error("fleet: " + path + " holds more than the " +
                                std::to_string(limit) + " instances expected from it");
     }
-    InstanceRecord record = decode_survey_record(row);
+    InstanceRecord record;
+    try {
+      record = decode_survey_record(row);
+    } catch (const std::runtime_error& error) {
+      throw std::runtime_error("fleet: " + path + ": " + error.what());
+    }
     const int index = first + rows;
     if (record.index != index ||
         record.seed != base_seed + static_cast<std::uint64_t>(index)) {

@@ -54,7 +54,8 @@ InstanceRecord decode_survey_record(const recordio::Row& row);
 /// `base_seed` (instance i has seed base_seed + i), at most `limit` of
 /// them. Records pass to `take` in order; returns how many there were.
 /// Throws std::runtime_error on a foreign, reordered or excess record
-/// and on any segment damage.
+/// and on any segment damage; a record decode_survey_record refuses is
+/// reported as "fleet: <path>: <its refusal>".
 int read_segment(const std::string& path, int first, int limit,
                  std::uint64_t base_seed,
                  const std::function<void(InstanceRecord)>& take,

@@ -83,26 +83,32 @@ void SolutionCache::merge(const SolutionCache& other) {
 }
 
 void SolutionCache::save(const std::string& path) const {
-  recordio::RecordWriter writer(path, cache_schema());
-  for (const auto& [signature, solution] : entries_) {
-    recordio::Row row(kColumnCount);
-    row[kSignature] = signature;
-    row[kSuccess] = static_cast<std::uint64_t>(solution.success ? 1 : 0);
-    std::vector<std::int64_t> positions;
-    positions.reserve(solution.positions.size() * 2);
-    for (const auto& [pos_row, pos_col] : solution.positions) {
-      positions.push_back(pos_row);
-      positions.push_back(pos_col);
+  // Stage and rename, so a crash or a full disk mid-save leaves the
+  // previous cache file whole.
+  const std::string staging = path + ".tmp";
+  {
+    recordio::RecordWriter writer(staging, cache_schema());
+    for (const auto& [signature, solution] : entries_) {
+      recordio::Row row(kColumnCount);
+      row[kSignature] = signature;
+      row[kSuccess] = static_cast<std::uint64_t>(solution.success ? 1 : 0);
+      std::vector<std::int64_t> positions;
+      positions.reserve(solution.positions.size() * 2);
+      for (const auto& [pos_row, pos_col] : solution.positions) {
+        positions.push_back(pos_row);
+        positions.push_back(pos_col);
+      }
+      row[kPositions] = std::move(positions);
+      row[kMessage] = solution.message;
+      row[kNodesExplored] = static_cast<std::uint64_t>(solution.nodes_explored);
+      row[kLpIterations] = static_cast<std::uint64_t>(solution.lp_iterations);
+      row[kNodesPruned] = static_cast<std::uint64_t>(solution.nodes_pruned);
+      row[kLpSolvesAvoided] = static_cast<std::uint64_t>(solution.lp_solves_avoided);
+      writer.append_row(row);
     }
-    row[kPositions] = std::move(positions);
-    row[kMessage] = solution.message;
-    row[kNodesExplored] = static_cast<std::uint64_t>(solution.nodes_explored);
-    row[kLpIterations] = static_cast<std::uint64_t>(solution.lp_iterations);
-    row[kNodesPruned] = static_cast<std::uint64_t>(solution.nodes_pruned);
-    row[kLpSolvesAvoided] = static_cast<std::uint64_t>(solution.lp_solves_avoided);
-    writer.append_row(row);
+    writer.close();
   }
-  writer.close();
+  std::filesystem::rename(staging, path);
 }
 
 std::size_t SolutionCache::load(const std::string& path) {

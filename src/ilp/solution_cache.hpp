@@ -63,7 +63,9 @@ class SolutionCache {
   /// Because storage is an ordered map and merge is order-independent,
   /// the bytes are a pure function of the cache *contents* — two caches
   /// built from the same solves save identical files, whatever the
-  /// worker count or insertion history.
+  /// worker count or insertion history. The segment is staged at
+  /// `<path>.tmp` and renamed over `path`, so a failed save leaves the
+  /// previous file as it was.
   void save(const std::string& path) const;
 
   /// Insert-if-absent load of a segment written by save(), under the

@@ -377,6 +377,11 @@ std::size_t Service::run_batch(std::vector<Queued>& batch) {
   registry_.stat("serve.batch.requests", 1.0).add(static_cast<double>(n));
   registry_.counter("serve.batch.solves").add(groups.size());
   registry_.counter("serve.batch.coalesced").add(pending.size() - groups.size());
+  std::uint64_t refine_trials = 0;  // replayed groups ran none
+  for (const GroupResult& result : results) {
+    refine_trials += static_cast<std::uint64_t>(result.solved.refine_trials);
+  }
+  registry_.counter("serve.refine.trials").add(refine_trials);
   for (const SolveGroup& group : groups) {
     registry_.stat("serve.batch.group_size", 1.0)
         .add(static_cast<double>(group.members.size()));

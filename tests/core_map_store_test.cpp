@@ -3,9 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <stdexcept>
 
 #include "core/pipeline.hpp"
 #include "recordio/writer.hpp"
@@ -205,6 +207,33 @@ TEST(MapStore, FileRoundTrip) {
   EXPECT_EQ(read_file(path), read_file(other));
   std::remove(path.c_str());
   std::remove(other.c_str());
+}
+
+TEST(MapStore, SaveLeavesNoStagingFile) {
+  const std::string path = temp_path("staged.rio");
+  MapStore store;
+  store.put(sample_map(42));
+  store.save_file(path);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+  EXPECT_EQ(MapStore::load_file(path).size(), 1u);
+  std::remove(path.c_str());
+}
+
+TEST(MapStore, FailedSaveKeepsThePreviousFile) {
+  // The save stages at <path>.tmp; a directory there makes it fail
+  // before the database is touched.
+  const std::string path = temp_path("kept.rio");
+  std::filesystem::remove_all(path + ".tmp");
+  MapStore store;
+  store.put(sample_map(42));
+  store.save_file(path);
+  const std::string before = read_file(path);
+  std::filesystem::create_directory(path + ".tmp");
+  store.put(sample_map(7));
+  EXPECT_THROW(store.save_file(path), std::runtime_error);
+  EXPECT_EQ(read_file(path), before);
+  std::filesystem::remove(path + ".tmp");
+  std::remove(path.c_str());
 }
 
 TEST(MapStore, LocatedMapsOfEverySkuRoundTrip) {

@@ -5,9 +5,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "core/core_map.hpp"
 #include "core/pipeline.hpp"
 #include "core/refinement.hpp"
+#include "serve/loadgen.hpp"
 
 namespace corelocate::core {
 namespace {
@@ -156,6 +159,141 @@ TEST(Refinement, FleetSampleFullyExactAcrossModels) {
     }
   }
 }
+
+// ---------------------------------------------------------------------
+// Trial path vs a full solve. A refinement trial settles one added row
+// edge incrementally (columns and nodes kept) or re-runs only the
+// direction search for one added column edge (rows kept), and scores the
+// map by counting violations. Each must reproduce exactly what a full
+// DecomposedMapSolver solve with that edge, and the list-based scan,
+// would have said.
+
+constexpr std::uint64_t kTrialClients = 100;
+
+ExtraEdge random_edge(util::Rng& rng, int cha_count) {
+  return ExtraEdge{static_cast<int>(rng.below(static_cast<std::uint64_t>(cha_count))),
+                   static_cast<int>(rng.below(static_cast<std::uint64_t>(cha_count))),
+                   static_cast<int>(rng.below(2))};
+}
+
+class RefinementTrialProperty : public ::testing::TestWithParam<sim::XeonModel> {};
+
+TEST_P(RefinementTrialProperty, SingleCutTrialEqualsFullSolve) {
+  const sim::ModelSpec& spec = sim::spec_for(GetParam());
+  const sim::InstanceFactory factory(sim::InstanceFactory::kDefaultFleetSeed);
+  util::Rng rng(0x7121A1 + static_cast<std::uint64_t>(GetParam()));
+  DecomposedSolverOptions options;
+  options.grid_rows = spec.die.rows;
+  options.grid_cols = spec.die.cols;
+  int feasible_rows = 0;
+  int feasible_cols = 0;
+  for (std::uint64_t seed = 0; seed < kTrialClients; ++seed) {
+    const serve::MappingRequest client =
+        serve::synthesize_client(GetParam(), seed, factory);
+    const ObservationSet& obs = *client.observations;
+    const DecomposedSystem system(obs, client.cha_count, options);
+    const MapSolveResult base = system.solve({}, {});
+    ASSERT_TRUE(base.success) << "seed " << seed << ": " << base.message;
+    for (int check = 0; check < 4; ++check) {
+      const ExtraEdge cut = random_edge(rng, client.cha_count);
+      const bool row_cut = check % 2 == 0;
+      DecomposedSolverOptions full_options = options;
+      (row_cut ? full_options.extra_row_edges : full_options.extra_col_edges)
+          .push_back(cut);
+      const MapSolveResult full =
+          DecomposedMapSolver(full_options).solve(obs, client.cha_count);
+
+      MapSolveResult trial = base;
+      if (row_cut) {
+        std::vector<int> rows;
+        for (const mesh::Coord& pos : base.cha_position) rows.push_back(pos.row);
+        trial.success = system.settle_rows_after({cut}, rows);
+        for (std::size_t cha = 0; cha < rows.size(); ++cha) {
+          trial.cha_position[cha].row = rows[cha];
+        }
+        feasible_rows += trial.success;
+      } else {
+        const DecomposedSystem::ColumnSearch search = system.search_columns({cut});
+        trial.success = search.columns.has_value();
+        trial.nodes = search.nodes;
+        for (std::size_t cha = 0; trial.success && cha < search.columns->size(); ++cha) {
+          trial.cha_position[cha].col = (*search.columns)[cha];
+        }
+        feasible_cols += trial.success;
+      }
+      SCOPED_TRACE(testing::Message()
+                   << "seed " << seed << (row_cut ? " row" : " col") << " cut "
+                   << cut.from_cha << "->" << cut.to_cha << " w" << cut.weight);
+      ASSERT_EQ(trial.success, full.success) << full.message;
+      if (!full.success) continue;
+      EXPECT_EQ(trial.cha_position, full.cha_position);
+      EXPECT_EQ(trial.nodes, full.nodes);
+    }
+  }
+  // The random cuts must exercise both outcomes of both trial kinds.
+  EXPECT_GT(feasible_rows, 0);
+  EXPECT_LT(feasible_rows, static_cast<int>(2 * kTrialClients));
+  EXPECT_GT(feasible_cols, 0);
+  EXPECT_LT(feasible_cols, static_cast<int>(2 * kTrialClients));
+}
+
+TEST_P(RefinementTrialProperty, CountOnlyScanEqualsListScan) {
+  const sim::ModelSpec& spec = sim::spec_for(GetParam());
+  const sim::InstanceFactory factory(sim::InstanceFactory::kDefaultFleetSeed);
+  util::Rng rng(0xC0C7 + static_cast<std::uint64_t>(GetParam()));
+  RefinementOptions options;
+  options.grid_rows = spec.die.rows;
+  options.grid_cols = spec.die.cols;
+  std::size_t nonzero = 0;
+  for (std::uint64_t seed = 0; seed < kTrialClients; ++seed) {
+    const serve::MappingRequest client =
+        serve::synthesize_client(GetParam(), seed, factory);
+    const ObservationSet& obs = *client.observations;
+    const ViolationScan scan(obs, client.cha_count, options);
+    std::vector<mesh::Coord> placement =
+        solve_with_refinement(obs, client.cha_count, options).solved.cha_position;
+    ASSERT_EQ(placement.size(), static_cast<std::size_t>(client.cha_count));
+    for (int round = 0; round < 4; ++round) {
+      // The list-and-filter scan refinement used before the count-only one.
+      std::vector<ImpliedIngress> listed =
+          implied_ingress(placement, obs, options.grid_rows, options.grid_cols);
+      std::erase_if(listed, [&obs](const ImpliedIngress& implied) {
+        const PathObservation& o = obs[implied.observation];
+        return implied.cha == o.source_cha || implied.cha == o.sink_cha ||
+               std::any_of(o.activations.begin(), o.activations.end(),
+                           [&implied](const ChannelActivation& act) {
+                             return act.cha == implied.cha;
+                           });
+      });
+      EXPECT_EQ(scan.count(placement), listed.size()) << "seed " << seed;
+      const std::vector<ImpliedIngress> scanned = scan.list(placement);
+      ASSERT_EQ(scanned.size(), listed.size()) << "seed " << seed;
+      for (std::size_t i = 0; i < listed.size(); ++i) {
+        EXPECT_EQ(scanned[i].observation, listed[i].observation);
+        EXPECT_EQ(scanned[i].cha, listed[i].cha);
+        EXPECT_EQ(scanned[i].label, listed[i].label);
+      }
+      nonzero += listed.empty() ? 0 : 1;
+      // Perturb: move one to three CHAs to random tiles.
+      const auto moves = 1 + rng.below(3);
+      for (std::uint64_t m = 0; m < moves; ++m) {
+        mesh::Coord& pos = placement[rng.below(placement.size())];
+        pos.row = static_cast<int>(rng.range(0, options.grid_rows - 1));
+        pos.col = static_cast<int>(rng.range(0, options.grid_cols - 1));
+      }
+    }
+  }
+  EXPECT_GT(nonzero, kTrialClients);  // perturbed maps are mostly refuted
+}
+
+INSTANTIATE_TEST_SUITE_P(Skus, RefinementTrialProperty,
+                         ::testing::Values(sim::XeonModel::k8124M,
+                                           sim::XeonModel::k8175M,
+                                           sim::XeonModel::k8259CL,
+                                           sim::XeonModel::k6354),
+                         [](const ::testing::TestParamInfo<sim::XeonModel>& sku) {
+                           return std::string("m") + serve::model_token(sku.param);
+                         });
 
 }  // namespace
 }  // namespace corelocate::core

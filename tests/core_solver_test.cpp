@@ -128,6 +128,16 @@ TEST(Solvers, EmptyObservationsYieldDegenerateMap) {
   }
 }
 
+TEST(DecomposedSolver, ExtraEdgeNamingAnUnknownChaThrows) {
+  for (const bool row : {true, false}) {
+    DecomposedSolverOptions options;
+    (row ? options.extra_row_edges : options.extra_col_edges).push_back({0, 3, 1});
+    EXPECT_THROW(DecomposedMapSolver(options).solve({}, 3), std::invalid_argument);
+    (row ? options.extra_row_edges : options.extra_col_edges).back() = {-1, 0, 1};
+    EXPECT_THROW(DecomposedMapSolver(options).solve({}, 3), std::invalid_argument);
+  }
+}
+
 TEST(DecomposedSolver, InconsistentRowsRejected) {
   // cha1 claims to be both above and below cha0.
   PathObservation up;

@@ -410,6 +410,7 @@ TEST_F(FleetCheckpointTest, DecoderRefusesCraftedRows) {
     }
     SCOPED_TRACE(c.field);
     expect_refusal(read_back, c.needle);
+    expect_refusal(read_back, "fleet: " + path + ": ");  // names the damaged file
   }
 
   // A failed locate's empty map still reads back.

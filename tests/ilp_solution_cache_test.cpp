@@ -129,6 +129,34 @@ TEST(SolutionCachePersistTest, SaveLoadRoundTripsEveryField) {
   EXPECT_EQ(r->lp_solves_avoided, 9);
 }
 
+TEST(SolutionCachePersistTest, SaveLeavesNoStagingFile) {
+  SolutionCache cache;
+  cache.insert(1, solution_with_nodes(1));
+  const std::string file = cache_temp_path("staged.rio");
+  cache.save(file);
+  EXPECT_FALSE(std::filesystem::exists(file + ".tmp"));
+  SolutionCache loaded;
+  EXPECT_EQ(loaded.load(file), 1u);
+  std::filesystem::remove(file);
+}
+
+TEST(SolutionCachePersistTest, FailedSaveKeepsThePreviousFile) {
+  // The save stages at <path>.tmp; a directory there makes it fail
+  // before the cache file is touched.
+  SolutionCache cache;
+  cache.insert(1, solution_with_nodes(1));
+  const std::string file = cache_temp_path("kept.rio");
+  std::filesystem::remove_all(file + ".tmp");
+  cache.save(file);
+  const std::string before = read_file(file);
+  std::filesystem::create_directory(file + ".tmp");
+  cache.insert(2, solution_with_nodes(2));
+  EXPECT_THROW(cache.save(file), std::runtime_error);
+  EXPECT_EQ(read_file(file), before);
+  std::filesystem::remove(file + ".tmp");
+  std::filesystem::remove(file);
+}
+
 TEST(SolutionCachePersistTest, MissingFileLoadsNothing) {
   SolutionCache cache;
   EXPECT_EQ(cache.load(cache_temp_path("never-written.rio")), 0u);

@@ -200,6 +200,36 @@ TEST(ServiceTest, ResponseLogIsByteIdenticalAcrossWorkerCounts) {
   }
 }
 
+TEST(ServiceTest, RefineTrialsCounterIsEqualAcrossWorkerCounts) {
+  // serve.refine.trials counts the refinement trials of cold solves: a
+  // deterministic work counter, so jobs=1, 4 and 8 must agree.
+  LoadgenOptions load;
+  load.requests = 60;
+  load.distinct_per_sku = 4;
+  const Loadgen loadgen(load);
+  std::uint64_t reference = 0;
+  for (const int jobs : {1, 4, 8}) {
+    ServiceOptions options;
+    options.jobs = jobs;
+    options.batch_max = 16;
+    options.engine = core::SolverEngine::kRefined;
+    Service service(options);
+    for (std::uint64_t i = 0; i < load.requests; ++i) {
+      service.submit(loadgen.make_request(i));
+      if (service.pending() >= 16) service.pump();
+    }
+    service.drain();
+    const obs::Counter* trials = service.registry().find_counter("serve.refine.trials");
+    ASSERT_NE(trials, nullptr);
+    if (jobs == 1) {
+      reference = trials->value();
+      EXPECT_GT(reference, 0u);  // some client needs refinement
+    } else {
+      EXPECT_EQ(trials->value(), reference) << "jobs=" << jobs;
+    }
+  }
+}
+
 TEST(ServiceTest, QueueDepthGaugeAndBatchStatsAreRecorded) {
   ServiceOptions options;
   options.batch_max = 8;
