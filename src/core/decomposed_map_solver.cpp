@@ -662,8 +662,7 @@ MapSolveResult DecomposedMapSolver::solve(const ObservationSet& observations,
                                           int cha_count) const {
   obs::Span span("decomposed_solve", "core");
   const DecomposedSystem system(observations, cha_count, options_);
-  MapSolveResult result =
-      system.solve(options_.extra_row_edges, options_.extra_col_edges);
+  MapSolveResult result = system.solve({}, {});
   span.arg("nodes", obs::Json(result.nodes));
   span.arg("direction_groups", obs::Json(system.direction_group_count()));
   return result;

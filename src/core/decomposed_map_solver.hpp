@@ -46,8 +46,6 @@ struct DecomposedSolverOptions {
   int grid_rows = 5;   ///< T_h
   int grid_cols = 6;   ///< T_w
   std::int64_t max_nodes = 1000000;  ///< direction-search node budget
-  std::vector<ExtraEdge> extra_row_edges;
-  std::vector<ExtraEdge> extra_col_edges;
   /// Debug cross-check: mirror the row difference system as an
   /// ilp::Model, run the static validator (ilp/model_check.hpp) on it,
   /// and require the validator and the longest-path fixpoint to agree
@@ -67,8 +65,7 @@ struct DecomposedSolverOptions {
 /// or a column edge cannot change.
 class DecomposedSystem {
  public:
-  /// `options` supplies the grid, the node budget and validate_model; its
-  /// extra edges are ignored (solve() takes them).
+  /// `options` supplies the grid, the node budget and validate_model.
   DecomposedSystem(const ObservationSet& observations, int cha_count,
                    const DecomposedSolverOptions& options);
   ~DecomposedSystem();
@@ -109,8 +106,7 @@ class DecomposedMapSolver {
  public:
   explicit DecomposedMapSolver(DecomposedSolverOptions options = {});
 
-  /// Builds a DecomposedSystem and solves it under the options' extra
-  /// edges.
+  /// Builds a DecomposedSystem and solves it with no extra edges.
   MapSolveResult solve(const ObservationSet& observations, int cha_count) const;
 
  private:

@@ -175,14 +175,9 @@ std::uint64_t MapSolver::cache_key(const ObservationSet& observations,
       .add_int(decomposed_.grid_cols)
       .add(static_cast<std::uint64_t>(decomposed_.max_nodes))
       .add_int(decomposed_.validate_model ? 1 : 0);
-  builder.add(decomposed_.extra_row_edges.size());
-  for (const ExtraEdge& edge : decomposed_.extra_row_edges) {
-    builder.add_int(edge.from_cha).add_int(edge.to_cha).add_int(edge.weight);
-  }
-  builder.add(decomposed_.extra_col_edges.size());
-  for (const ExtraEdge& edge : decomposed_.extra_col_edges) {
-    builder.add_int(edge.from_cha).add_int(edge.to_cha).add_int(edge.weight);
-  }
+  // Two zero lengths where the retired extra row and column edge lists
+  // were hashed, so saved solution-cache files keep matching.
+  builder.add(std::uint64_t{0}).add(std::uint64_t{0});
   return builder.digest();
 }
 

@@ -23,7 +23,7 @@
 // committed row fixpoint from the new edge (the columns cannot move), a
 // column cut re-runs only the direction search (the rows cannot move),
 // and the trial's map is scored by counting violations, not listing
-// them. Every trial equals a full DecomposedMapSolver solve with the cut
+// them. Every trial equals a cold DecomposedSystem::solve with the cut
 // among its extra edges.
 
 #include "core/decomposed_map_solver.hpp"

@@ -3,7 +3,7 @@
 //
 // Every CheckedMutex in the tree names its rank from this table — never
 // an inline integer literal — so the whole acquisition order is visible
-// in one place and `corelint --concurrency` can resolve
+// in one place and corelint's conc-* rules can resolve
 // `CheckedMutex<kRank...>` declarations to concrete ranks when it builds
 // the static lock graph. A thread may only acquire strictly upward in
 // rank (see lockcheck.hpp for the runtime checker that enforces the same

@@ -54,10 +54,16 @@ Histogram::Histogram(double lo, double hi, std::size_t bins) : lo_(lo), hi_(hi) 
 }
 
 void Histogram::add(double x) noexcept {
-  if (x < lo_ || x >= hi_) return;
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  auto bin = static_cast<std::size_t>((x - lo_) / width);
-  if (bin >= counts_.size()) bin = counts_.size() - 1;
+  if (std::isnan(x)) return;
+  // A sample outside [lo, hi) counts in the edge bin on its side, so the
+  // tail percentiles see the tail and total() sees every sample.
+  std::size_t bin = 0;
+  if (x >= hi_) {
+    bin = counts_.size() - 1;
+  } else if (x > lo_) {
+    const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
+    bin = std::min(static_cast<std::size_t>((x - lo_) / width), counts_.size() - 1);
+  }
   ++counts_[bin];
   ++total_;
 }

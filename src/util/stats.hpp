@@ -22,6 +22,8 @@ double max_of(std::span<const double> values);
 class Histogram {
  public:
   Histogram(double lo, double hi, std::size_t bins);
+  /// Counts `x` in its bin; below `lo` in the first bin, at or above `hi`
+  /// in the last. A NaN is not a sample and is dropped.
   void add(double x) noexcept;
 
   /// Bin-wise sum. Both histograms must share [lo, hi) and bin count.

@@ -164,9 +164,9 @@ TEST(Refinement, FleetSampleFullyExactAcrossModels) {
 // Trial path vs a full solve. A refinement trial settles one added row
 // edge incrementally (columns and nodes kept) or re-runs only the
 // direction search for one added column edge (rows kept), and scores the
-// map by counting violations. Each must reproduce exactly what a full
-// DecomposedMapSolver solve with that edge, and the list-based scan,
-// would have said.
+// map by counting violations. Each must reproduce exactly what a cold
+// DecomposedSystem::solve with that edge, and the list-based scan, would
+// have said.
 
 constexpr std::uint64_t kTrialClients = 100;
 
@@ -197,11 +197,8 @@ TEST_P(RefinementTrialProperty, SingleCutTrialEqualsFullSolve) {
     for (int check = 0; check < 4; ++check) {
       const ExtraEdge cut = random_edge(rng, client.cha_count);
       const bool row_cut = check % 2 == 0;
-      DecomposedSolverOptions full_options = options;
-      (row_cut ? full_options.extra_row_edges : full_options.extra_col_edges)
-          .push_back(cut);
       const MapSolveResult full =
-          DecomposedMapSolver(full_options).solve(obs, client.cha_count);
+          row_cut ? system.solve({cut}, {}) : system.solve({}, {cut});
 
       MapSolveResult trial = base;
       if (row_cut) {

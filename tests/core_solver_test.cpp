@@ -129,12 +129,10 @@ TEST(Solvers, EmptyObservationsYieldDegenerateMap) {
 }
 
 TEST(DecomposedSolver, ExtraEdgeNamingAnUnknownChaThrows) {
-  for (const bool row : {true, false}) {
-    DecomposedSolverOptions options;
-    (row ? options.extra_row_edges : options.extra_col_edges).push_back({0, 3, 1});
-    EXPECT_THROW(DecomposedMapSolver(options).solve({}, 3), std::invalid_argument);
-    (row ? options.extra_row_edges : options.extra_col_edges).back() = {-1, 0, 1};
-    EXPECT_THROW(DecomposedMapSolver(options).solve({}, 3), std::invalid_argument);
+  const DecomposedSystem system({}, 3, DecomposedSolverOptions{});
+  for (const ExtraEdge& edge : {ExtraEdge{0, 3, 1}, ExtraEdge{-1, 0, 1}}) {
+    EXPECT_THROW(system.solve({edge}, {}), std::invalid_argument);
+    EXPECT_THROW(system.solve({}, {edge}), std::invalid_argument);
   }
 }
 

@@ -1,9 +1,9 @@
 // Deliberately wasteful TU: seeds per-iteration allocations inside a
 // marked hot loop against the real CORELOCATE_HOT_LOOP marker and
 // obs::Span API. It lives outside the linted tree (src/, bench/,
-// examples/) and outside every build target; ctest `corelint_seeded_alloc`
-// runs `corelint --hotpath` over this directory (plus src/ for the real
-// headers) and expects a perf-alloc-in-hot-loop finding. If the gate ever
+// examples/) and outside every build target; ctest `corelint_canaries`
+// runs corelint over this directory (plus src/ for the real headers) and
+// expects perf-alloc-in-hot-loop findings. If the gate ever
 // passes this file, the hot-path analysis has gone blind.
 #include <string>
 #include <vector>

@@ -3,9 +3,9 @@
 // clears into an unreserved vector INSIDE the marked hot loop — the
 // real loop writes bounds in place precisely to avoid per-node growth.
 // It lives outside the linted tree and outside every build target;
-// ctest `corelint_seeded_propagation` runs `corelint --hotpath` over
-// this directory (plus src/ for the real headers) and expects a
-// perf-alloc-in-hot-loop finding against this file. If the gate ever
+// ctest `corelint_canaries` runs corelint over this directory (plus
+// src/ for the real headers) and expects a perf-alloc-in-hot-loop
+// finding against this file. If the gate ever
 // passes it, the hot-path analysis has stopped covering the propagation
 // loop's shape.
 #include <cstdint>

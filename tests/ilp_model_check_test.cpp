@@ -3,13 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 
 #include "core/decomposed_map_solver.hpp"
 #include "core/ilp_map_solver.hpp"
 #include "core/observation.hpp"
 #include "ilp/model.hpp"
 #include "mesh/grid.hpp"
+#include "sim/instance_factory.hpp"
 #include "sim/xeon_config.hpp"
+#include "util/rng.hpp"
 
 namespace corelocate::ilp {
 namespace {
@@ -201,19 +204,34 @@ TEST(ModelCheckWiring, DecomposedSolverCrossCheckAgrees) {
   EXPECT_TRUE(solved.success) << solved.message;
 }
 
-TEST(ModelCheckWiring, GeneratedFormulationsAreClean) {
-  const sim::InstanceConfig config = micro_instance();
+/// Both indicator formulations of the map MILP validate clean for
+/// `config`, built from up to `max_observations` observations (0: all).
+void expect_formulations_clean(const sim::InstanceConfig& config,
+                               int max_observations) {
   const core::ObservationSet obs = core::synthesize_observations(config);
   for (const bool disaggregated : {true, false}) {
     core::IlpMapSolverOptions options;
-    options.grid_rows = 3;
-    options.grid_cols = 3;
+    options.grid_rows = config.grid.rows();
+    options.grid_cols = config.grid.cols();
     options.disaggregated_indicators = disaggregated;
+    options.max_observations = max_observations;
     const Model milp =
         core::IlpMapSolver(options).build_model(obs, config.cha_count());
     const ModelCheckReport report = check_model(milp);
     EXPECT_TRUE(report.clean())
-        << (disaggregated ? "disaggregated: " : "aggregated: ") << report.summary();
+        << sim::spec_for(config.model).name
+        << (disaggregated ? " disaggregated: " : " aggregated: ") << report.summary();
+  }
+}
+
+TEST(ModelCheckWiring, GeneratedFormulationsAreClean) {
+  expect_formulations_clean(micro_instance(), 0);
+  // The four paper SKUs. A capped observation subset exercises every
+  // constraint family; shape defects do not hide in the tail.
+  const sim::InstanceFactory factory;
+  for (const sim::XeonModel model : sim::all_models()) {
+    util::Rng rng(0xC0DE11ULL + static_cast<std::uint64_t>(model));
+    expect_formulations_clean(factory.make_instance(model, rng), 48);
   }
 }
 

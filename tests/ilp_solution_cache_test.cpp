@@ -472,6 +472,21 @@ TEST(SolutionCacheSolver, DecomposedStorePrimitiveMatchesSolvePath) {
   expect_same_solve(cold, probed);
 }
 
+TEST(SolutionCacheSolver, DecomposedKeyIsPinned) {
+  // Saved solution-cache files are keyed on this value: if it changes,
+  // every stored decomposed-engine entry stops matching.
+  sim::InstanceConfig config;
+  const core::ObservationSet obs =
+      observations_for(sim::XeonModel::k8124M, 5, &config);
+  core::DecomposedSolverOptions options;
+  options.validate_model = false;  // the build type sets the default
+  const core::MapSolver solver(core::SolverEngine::kDecomposed, config.grid.rows(),
+                               config.grid.cols(), {}, options);
+  SolutionCache cache;
+  solver.store_cache(obs, config.cha_count(), cache, core::MapSolveResult{});
+  EXPECT_NE(cache.find(0x434CF7C1DF629715ULL), nullptr);
+}
+
 TEST(SolutionCacheSolver, IlpHitReplaysColdSolve) {
   sim::InstanceConfig config;
   const core::ObservationSet obs =

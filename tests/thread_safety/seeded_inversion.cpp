@@ -4,8 +4,8 @@
 // examples/) and outside every build target; two checkers must both
 // reject it:
 //
-//   * ctest `corelint_seeded_inversion` runs `corelint --concurrency`
-//     over this directory (plus src/ for the rank registry) and expects
+//   * ctest `corelint_canaries` runs corelint over this directory
+//     (plus tests/hotpath/, and src/ for the rank registry) and expects
 //     conc-rank-inversion and conc-unguarded-access findings;
 //   * the CI thread-safety job compiles it with clang
 //     -DCORELOCATE_THREAD_SAFETY=1 -Wthread-safety -Wthread-safety-beta

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <vector>
 
 namespace corelocate::util {
@@ -62,11 +63,11 @@ TEST(Histogram, BinsAndBounds) {
   h.add(0.0);
   h.add(1.9);
   h.add(9.99);
-  h.add(10.0);   // out of range: [lo, hi)
-  h.add(-0.01);  // out of range
-  EXPECT_EQ(h.total(), 3u);
-  EXPECT_EQ(h.count_in(0), 2u);
-  EXPECT_EQ(h.count_in(4), 1u);
+  h.add(10.0);   // past [lo, hi): the last bin
+  h.add(-0.01);  // below lo: the first bin
+  EXPECT_EQ(h.total(), 5u);
+  EXPECT_EQ(h.count_in(0), 3u);
+  EXPECT_EQ(h.count_in(4), 2u);
   EXPECT_DOUBLE_EQ(h.bin_low(0), 0.0);
   EXPECT_DOUBLE_EQ(h.bin_high(0), 2.0);
 }
@@ -129,15 +130,25 @@ TEST(Histogram, PercentileEdgeCases) {
   // Out-of-range q is clamped to [0, 100].
   EXPECT_DOUBLE_EQ(sparse.percentile(-10.0), sparse.percentile(0.0));
   EXPECT_DOUBLE_EQ(sparse.percentile(250.0), sparse.percentile(100.0));
+}
 
-  // Out-of-range samples are dropped, so they cannot skew percentiles.
+TEST(Histogram, OutOfRangeSamplesClampIntoEdgeBins) {
+  // A slow request past the range is the tail a p99 exists to show: it
+  // must count, in the last bin, and an early one in the first.
   Histogram ranged(0.0, 10.0, 10);
+  ranged.add(3.5);
   ranged.add(-5.0);
   ranged.add(50.0);
-  EXPECT_EQ(ranged.total(), 0u);
-  ranged.add(3.5);
-  EXPECT_DOUBLE_EQ(ranged.percentile(0.0), 3.5);
-  EXPECT_DOUBLE_EQ(ranged.percentile(100.0), 3.5);
+  EXPECT_EQ(ranged.total(), 3u);
+  EXPECT_EQ(ranged.count_in(0), 1u);
+  EXPECT_EQ(ranged.count_in(9), 1u);
+  EXPECT_DOUBLE_EQ(ranged.percentile(0.0), 0.5);
+  EXPECT_DOUBLE_EQ(ranged.percentile(100.0), 9.5);
+
+  ranged.add(std::numeric_limits<double>::infinity());
+  ranged.add(std::numeric_limits<double>::quiet_NaN());  // not a sample
+  EXPECT_EQ(ranged.total(), 4u);
+  EXPECT_EQ(ranged.count_in(9), 2u);
 }
 
 }  // namespace

@@ -1,11 +1,8 @@
 #include "conc.hpp"
 
-#include <algorithm>
-#include <cstdlib>
 #include <map>
 #include <set>
 #include <string>
-#include <tuple>
 #include <utility>
 
 namespace corelint {
@@ -35,55 +32,13 @@ bool lock_tag_name(const std::string& word) {
   return word == "adopt_lock" || word == "defer_lock" || word == "try_to_lock";
 }
 
-/// Index one past the '>' matching the '<' at `open`; tokens.size() when
-/// the statement ends before it balances (then it was not a template-id).
-std::size_t skip_angles(const std::vector<Token>& tokens, std::size_t open) {
-  int depth = 0;
-  for (std::size_t t = open; t < tokens.size(); ++t) {
-    const Token& tok = tokens[t];
-    if (tok.is("<")) {
-      ++depth;
-    } else if (tok.is(">")) {
-      if (--depth <= 0) return t + 1;
-    } else if (tok.is(">>")) {
-      depth -= 2;
-      if (depth <= 0) return t + 1;
-    } else if (tok.is("(")) {
-      t = match_group(tokens, t);
-      if (t >= tokens.size()) break;
-    } else if (tok.is(";") || tok.is("{")) {
-      break;
-    }
-  }
-  return tokens.size();
-}
-
-std::string last_ident(const std::vector<Token>& tokens, std::size_t begin,
-                       std::size_t end) {
-  std::string last;
-  for (std::size_t t = begin; t < end && t < tokens.size(); ++t) {
-    if (tokens[t].kind == Token::Kind::kIdent && !is_control_keyword(tokens[t].text)) {
-      last = tokens[t].text;
-    }
-  }
-  return last;
-}
-
 // --------------------------------------------------------------- lock graph
-// LockRegion and the declaration tables (LockDecls) are declared in
-// conc.hpp: the hot-path pass reuses both.
 
 struct UnitInfo {
-  const TranslationUnit* unit = nullptr;
-  std::string stem;
-  std::vector<std::vector<CallSite>> fn_calls;
   std::vector<std::vector<LockRegion>> fn_regions;
   /// Guarded fields visible to this unit: field → guarding mutex name.
   std::map<std::string, std::string> guards;
 };
-
-using FnKey = std::pair<std::string, int>;
-using FnRef = std::pair<std::size_t, std::size_t>;  ///< (unit index, fn index)
 
 /// What a function does to the concurrency state, as seen from a call
 /// site. Monotone (sets only grow), so the Kleene iteration converges.
@@ -104,133 +59,11 @@ struct ConcSummary {
   }
 };
 
-struct Corpus {
+struct ConcState {
+  const Corpus& corpus;
   std::vector<UnitInfo> infos;
-  std::map<FnKey, std::vector<FnRef>> index;
-  std::map<std::string, std::vector<FnRef>> name_index;  ///< any arity
-  LockDecls decls;
   std::vector<std::vector<ConcSummary>> summaries;
 };
-
-/// Rank named by the token range of a CheckedMutex<...> argument: a
-/// literal, or a named constant from the corpus-wide table.
-int resolve_rank(const LockDecls& decls, const std::vector<Token>& tokens,
-                 std::size_t begin, std::size_t end) {
-  std::string ident;
-  std::string number;
-  for (std::size_t t = begin; t < end && t < tokens.size(); ++t) {
-    if (tokens[t].kind == Token::Kind::kIdent) ident = tokens[t].text;
-    if (tokens[t].kind == Token::Kind::kNumber) number = tokens[t].text;
-  }
-  if (!ident.empty()) {
-    const auto it = decls.constants.find(ident);
-    return it == decls.constants.end() ? -1 : static_cast<int>(it->second);
-  }
-  if (!number.empty()) {
-    char* rest = nullptr;
-    const long value = std::strtol(number.c_str(), &rest, 0);
-    if (rest != nullptr && *rest == '\0') return static_cast<int>(value);
-  }
-  return -1;
-}
-
-void record_mutex(LockDecls& decls, const std::string& stem, const std::string& var,
-                  int rank) {
-  const auto key = std::make_pair(stem, var);
-  const auto it = decls.mutex_by_stem.find(key);
-  if (it == decls.mutex_by_stem.end()) {
-    decls.mutex_by_stem.emplace(key, rank);
-  } else if (it->second != rank) {
-    it->second = -1;  // two declarations in one file pair: ambiguous
-  }
-  decls.mutex_global[var].insert(rank);
-}
-
-/// Declaration scan: constants, CheckedMutex aliases and variables,
-/// GUARDED_BY fields and class/struct names, across the whole corpus.
-void scan_declarations(LockDecls& decls, const std::vector<TranslationUnit>& units) {
-  // Constants first — mutex declarations in any unit may name a constant
-  // from another (src/util/lockranks.hpp is the registry).
-  for (const TranslationUnit& unit : units) {
-    const std::vector<Token>& tokens = unit.tokens;
-    for (std::size_t t = 0; t + 1 < tokens.size(); ++t) {
-      if (!tokens[t].is_ident("constexpr")) continue;
-      for (std::size_t u = t + 1; u + 2 < tokens.size(); ++u) {
-        if (tokens[u].is(";") || tokens[u].is("{") || tokens[u].is("(")) break;
-        if (tokens[u].is("=") && u > t + 1 &&
-            tokens[u - 1].kind == Token::Kind::kIdent &&
-            tokens[u + 1].kind == Token::Kind::kNumber && tokens[u + 2].is(";")) {
-          char* rest = nullptr;
-          const long value = std::strtol(tokens[u + 1].text.c_str(), &rest, 0);
-          if (rest != nullptr && *rest == '\0') {
-            decls.constants[tokens[u - 1].text] = value;
-          }
-          break;
-        }
-      }
-    }
-  }
-
-  for (const TranslationUnit& unit : units) {
-    const std::vector<Token>& tokens = unit.tokens;
-    for (std::size_t t = 0; t + 2 < tokens.size(); ++t) {
-      if (tokens[t].is_ident("using") && tokens[t + 1].kind == Token::Kind::kIdent &&
-          tokens[t + 2].is("=")) {
-        for (std::size_t u = t + 3; u + 1 < tokens.size(); ++u) {
-          if (tokens[u].is(";")) break;
-          if (tokens[u].is_ident("CheckedMutex") && tokens[u + 1].is("<")) {
-            const std::size_t after = skip_angles(tokens, u + 1);
-            decls.alias_rank[tokens[t + 1].text] =
-                resolve_rank(decls, tokens, u + 2, after - 1);
-            break;
-          }
-        }
-      }
-    }
-  }
-
-  for (std::size_t u = 0; u < units.size(); ++u) {
-    const std::vector<Token>& tokens = units[u].tokens;
-    const std::string stem = path_stem(units[u].file.effective_path);
-    for (std::size_t t = 0; t + 1 < tokens.size(); ++t) {
-      const Token& tok = tokens[t];
-      if (tok.kind != Token::Kind::kIdent) continue;
-      if (tok.text == "CheckedMutex" && tokens[t + 1].is("<")) {
-        const std::size_t after = skip_angles(tokens, t + 1);
-        if (after >= tokens.size()) continue;
-        const int rank = resolve_rank(decls, tokens, t + 2, after - 1);
-        if (tokens[after].kind == Token::Kind::kIdent &&
-            !is_control_keyword(tokens[after].text)) {
-          record_mutex(decls, stem, tokens[after].text, rank);
-        }
-      } else if (decls.alias_rank.count(tok.text) != 0 &&
-                 tokens[t + 1].kind == Token::Kind::kIdent &&
-                 !is_control_keyword(tokens[t + 1].text)) {
-        record_mutex(decls, stem, tokens[t + 1].text, decls.alias_rank[tok.text]);
-      } else if (tok.text == "CORELOCATE_GUARDED_BY" && tokens[t + 1].is("(")) {
-        const std::size_t close = match_group(tokens, t + 1);
-        const std::string guard = last_ident(tokens, t + 2, close);
-        if (!guard.empty() && t > 0 && tokens[t - 1].kind == Token::Kind::kIdent) {
-          const std::string& field = tokens[t - 1].text;
-          decls.guard_by_stem[{stem, field}] = guard;
-          decls.guard_global[field].insert(guard);
-        }
-      } else if (tok.text == "class" || tok.text == "struct") {
-        std::size_t v = t + 1;
-        if (v < tokens.size() && tokens[v].kind == Token::Kind::kIdent &&
-            tokens[v].text.rfind("CORELOCATE_", 0) == 0) {
-          ++v;
-          if (v < tokens.size() && tokens[v].is("(")) {
-            v = match_group(tokens, v) + 1;
-          }
-        }
-        if (v < tokens.size() && tokens[v].kind == Token::Kind::kIdent) {
-          decls.type_names.insert(tokens[v].text);
-        }
-      }
-    }
-  }
-}
 
 // ------------------------------------------------------------- lock regions
 
@@ -256,11 +89,13 @@ std::size_t scope_end(const std::vector<Token>& tokens, std::size_t from,
 
 // ---------------------------------------------------------------- summaries
 
-ConcSummary direct_summary(const UnitInfo& info, std::size_t fn_index) {
-  const FunctionDef& fn = info.unit->functions[fn_index];
-  const std::vector<Token>& tokens = info.unit->tokens;
+ConcSummary direct_summary(const ConcState& state, std::size_t u,
+                           std::size_t fn_index) {
+  const TranslationUnit& unit = state.corpus.units[u];
+  const FunctionDef& fn = unit.functions[fn_index];
+  const std::vector<Token>& tokens = unit.tokens;
   ConcSummary summary;
-  for (const LockRegion& region : info.fn_regions[fn_index]) {
+  for (const LockRegion& region : state.infos[u].fn_regions[fn_index]) {
     if (!region.entry && region.rank >= 0) {
       summary.acquires.emplace(region.rank, region.mutex);
     }
@@ -269,7 +104,7 @@ ConcSummary direct_summary(const UnitInfo& info, std::size_t fn_index) {
     summary.reaches_serial = true;
     summary.serial_witness = fn.name;
   }
-  for (const CallSite& call : info.fn_calls[fn_index]) {
+  for (const CallSite& call : state.corpus.calls[u][fn_index]) {
     if (!submit_name(call.name)) continue;
     for (const auto& [arg_begin, arg_end] : call.args) {
       for (std::size_t t = arg_begin; t < arg_end; ++t) {
@@ -287,15 +122,14 @@ ConcSummary direct_summary(const UnitInfo& info, std::size_t fn_index) {
 
 /// One fixpoint step: merge the current summaries of every resolved
 /// callee into `base` (the direct summary).
-ConcSummary flow_step(const Corpus& corpus, const UnitInfo& info,
-                      std::size_t fn_index, ConcSummary base) {
-  const FunctionDef& fn = info.unit->functions[fn_index];
-  const std::vector<Token>& tokens = info.unit->tokens;
-  for (const CallSite& call : info.fn_calls[fn_index]) {
-    const auto callees = corpus.index.find({call.name, call.arity});
-    if (callees == corpus.index.end()) continue;
-    for (const FnRef& ref : callees->second) {
-      const ConcSummary& callee = corpus.summaries[ref.first][ref.second];
+ConcSummary flow_step(const ConcState& state, std::size_t u, std::size_t fn_index,
+                      ConcSummary base) {
+  const TranslationUnit& unit = state.corpus.units[u];
+  const FunctionDef& fn = unit.functions[fn_index];
+  const std::vector<Token>& tokens = unit.tokens;
+  for (const CallSite& call : state.corpus.calls[u][fn_index]) {
+    for (const FnRef& ref : state.corpus.callees(call)) {
+      const ConcSummary& callee = state.summaries[ref.first][ref.second];
       base.acquires.insert(callee.acquires.begin(), callee.acquires.end());
       if (callee.reaches_serial && !base.reaches_serial) {
         base.reaches_serial = true;
@@ -320,21 +154,6 @@ ConcSummary flow_step(const Corpus& corpus, const UnitInfo& info,
 
 // ---------------------------------------------------------------- reporting
 
-struct ReportContext {
-  std::vector<Finding>* findings = nullptr;
-  std::set<std::tuple<const SourceFile*, std::size_t, std::string>>* reported =
-      nullptr;
-};
-
-void emit(const ReportContext& ctx, const SourceFile& file, std::size_t line,
-          const std::string& rule, const std::string& message) {
-  if (line >= file.lines.size()) return;
-  if (!ctx.reported->insert({&file, line, rule}).second) return;
-  if (file.suppressed(rule, line)) return;
-  ctx.findings->push_back(Finding{file.path, line + 1, rule, message,
-                                  file.lines[line].code});
-}
-
 /// Regions (including entry locks) held at token index `t`, excluding
 /// region `self`.
 std::vector<const LockRegion*> held_at(const std::vector<LockRegion>& regions,
@@ -347,11 +166,10 @@ std::vector<const LockRegion*> held_at(const std::vector<LockRegion>& regions,
   return held;
 }
 
-void report_rank_inversion(const Corpus& corpus, const UnitInfo& info,
-                           std::size_t fn_index, const ReportContext& ctx) {
-  const TranslationUnit& unit = *info.unit;
-  const SourceFile& file = unit.file;
-  const std::vector<LockRegion>& regions = info.fn_regions[fn_index];
+void report_rank_inversion(const ConcState& state, std::size_t u,
+                           std::size_t fn_index, Reporter& report) {
+  const SourceFile& file = state.corpus.units[u].file;
+  const std::vector<LockRegion>& regions = state.infos[u].fn_regions[fn_index];
   const std::string rule = "conc-rank-inversion";
 
   for (const LockRegion& region : regions) {
@@ -361,10 +179,10 @@ void report_rank_inversion(const Corpus& corpus, const UnitInfo& info,
     bool fired = false;
     for (const LockRegion* h : held) {
       if (h->mutex == region.mutex) {
-        emit(ctx, file, region.line, rule,
-             "acquires mutex '" + region.mutex +
-                 "' while already holding it — self-deadlock on any schedule "
-                 "that runs this path");
+        report.emit(file, region.line, rule,
+                    "acquires mutex '" + region.mutex +
+                        "' while already holding it — self-deadlock on any schedule "
+                        "that runs this path");
         fired = true;
         break;
       }
@@ -372,12 +190,12 @@ void report_rank_inversion(const Corpus& corpus, const UnitInfo& info,
     if (fired || region.rank < 0) continue;
     for (const LockRegion* h : held) {
       if (h->rank >= 0 && h->rank >= region.rank) {
-        emit(ctx, file, region.line, rule,
-             "acquires '" + region.mutex + "' (rank " +
-                 std::to_string(region.rank) + ") while '" + h->mutex + "' (rank " +
-                 std::to_string(h->rank) +
-                 ") is held — lock ranks must strictly increase along every "
-                 "acquisition path");
+        report.emit(file, region.line, rule,
+                    "acquires '" + region.mutex + "' (rank " +
+                        std::to_string(region.rank) + ") while '" + h->mutex +
+                        "' (rank " + std::to_string(h->rank) +
+                        ") is held — lock ranks must strictly increase along every "
+                        "acquisition path");
         break;
       }
     }
@@ -385,9 +203,9 @@ void report_rank_inversion(const Corpus& corpus, const UnitInfo& info,
 
   // Interprocedural: a call made under a held lock must not reach an
   // acquisition of an equal-or-lower rank.
-  for (const CallSite& call : info.fn_calls[fn_index]) {
-    const auto callees = corpus.index.find({call.name, call.arity});
-    if (callees == corpus.index.end()) continue;
+  for (const CallSite& call : state.corpus.calls[u][fn_index]) {
+    const std::vector<FnRef>& callees = state.corpus.callees(call);
+    if (callees.empty()) continue;
     const std::vector<const LockRegion*> held =
         held_at(regions, call.name_index, nullptr);
     int held_rank = -1;
@@ -399,17 +217,17 @@ void report_rank_inversion(const Corpus& corpus, const UnitInfo& info,
       }
     }
     if (held_region == nullptr || held_rank < 0) continue;
-    for (const FnRef& ref : callees->second) {
-      const ConcSummary& callee = corpus.summaries[ref.first][ref.second];
+    for (const FnRef& ref : callees) {
+      const ConcSummary& callee = state.summaries[ref.first][ref.second];
       bool fired = false;
       for (const auto& [rank, mutex] : callee.acquires) {
         if (rank <= held_rank) {
-          emit(ctx, file, call.line, rule,
-               "call to '" + call.name + "' may acquire '" + mutex + "' (rank " +
-                   std::to_string(rank) + ") while '" + held_region->mutex +
-                   "' (rank " + std::to_string(held_rank) +
-                   ") is held — lock ranks must strictly increase along every "
-                   "acquisition path");
+          report.emit(file, call.line, rule,
+                      "call to '" + call.name + "' may acquire '" + mutex + "' (rank " +
+                          std::to_string(rank) + ") while '" + held_region->mutex +
+                          "' (rank " + std::to_string(held_rank) +
+                          ") is held — lock ranks must strictly increase along every "
+                          "acquisition path");
           fired = true;
           break;
         }
@@ -419,16 +237,17 @@ void report_rank_inversion(const Corpus& corpus, const UnitInfo& info,
   }
 }
 
-void report_unguarded_access(const Corpus& corpus, const UnitInfo& info,
-                             std::size_t fn_index, const ReportContext& ctx) {
+void report_unguarded_access(const ConcState& state, std::size_t u,
+                             std::size_t fn_index, Reporter& report) {
+  const UnitInfo& info = state.infos[u];
   if (info.guards.empty()) return;
-  const TranslationUnit& unit = *info.unit;
+  const TranslationUnit& unit = state.corpus.units[u];
   const SourceFile& file = unit.file;
   const FunctionDef& fn = unit.functions[fn_index];
   const std::vector<Token>& tokens = unit.tokens;
   // Constructors and destructors run before/after any sharing is
   // possible (Clang's analysis makes the same exemption).
-  if (corpus.decls.type_names.count(fn.name) != 0) return;
+  if (state.corpus.decls.type_names.count(fn.name) != 0) return;
 
   for (std::size_t t = fn.body_begin + 1; t < fn.body_end; ++t) {
     const Token& tok = tokens[t];
@@ -453,11 +272,11 @@ void report_unguarded_access(const Corpus& corpus, const UnitInfo& info,
       }
     }
     if (covered) continue;
-    emit(ctx, file, tok.line, "conc-unguarded-access",
-         "field '" + tok.text + "' is CORELOCATE_GUARDED_BY(" + guard +
-             ") but no static path here holds '" + guard +
-             "' — take util::LockGuard(" + guard +
-             ") or annotate the function CORELOCATE_REQUIRES(" + guard + ")");
+    report.emit(file, tok.line, "conc-unguarded-access",
+                "field '" + tok.text + "' is CORELOCATE_GUARDED_BY(" + guard +
+                    ") but no static path here holds '" + guard +
+                    "' — take util::LockGuard(" + guard +
+                    ") or annotate the function CORELOCATE_REQUIRES(" + guard + ")");
   }
 }
 
@@ -491,11 +310,11 @@ bool lambda_intro(const std::vector<Token>& tokens, std::size_t t,
   return true;
 }
 
-void report_task_args(const Corpus& corpus, const UnitInfo& info,
-                      std::size_t fn_index, const CallSite& call,
+void report_task_args(const ConcState& state, std::size_t u, std::size_t fn_index,
+                      const CallSite& call,
                       const std::vector<std::pair<std::size_t, std::size_t>>& args,
-                      const std::string& via, const ReportContext& ctx) {
-  const TranslationUnit& unit = *info.unit;
+                      const std::string& via, Reporter& report) {
+  const TranslationUnit& unit = state.corpus.units[u];
   const SourceFile& file = unit.file;
   const FunctionDef& fn = unit.functions[fn_index];
   const std::vector<Token>& tokens = unit.tokens;
@@ -523,39 +342,38 @@ void report_task_args(const Corpus& corpus, const UnitInfo& info,
           if (part_begin >= part_end) continue;
           const Token& head = tokens[part_begin];
           if (head.is("&") && part_end - part_begin == 1) {
-            emit(ctx, file, tok.line, "conc-ref-capture",
-                 "task handed to the pool" + via +
-                     " captures implicitly by reference ([&]) — name every "
-                     "capture so lifetimes stay auditable");
+            report.emit(file, tok.line, "conc-ref-capture",
+                        "task handed to the pool" + via +
+                            " captures implicitly by reference ([&]) — name every "
+                            "capture so lifetimes stay auditable");
             continue;
           }
           if (head.is("&") && !joins) {
             const std::string name = last_ident(tokens, part_begin, part_end);
             if (name.empty()) continue;
-            emit(ctx, file, tok.line, "conc-ref-capture",
-                 "task captures '" + name + "' by reference" + via + " but '" +
-                     fn.name +
-                     "' never joins the pool afterwards (.get()/wait_idle()) — "
-                     "the task can outlive the captured frame");
+            report.emit(file, tok.line, "conc-ref-capture",
+                        "task captures '" + name + "' by reference" + via + " but '" +
+                            fn.name +
+                            "' never joins the pool afterwards (.get()/wait_idle()) — "
+                            "the task can outlive the captured frame");
           }
         }
 
         // conc-phase-escape: calls made from inside the task body.
         if (body_open != 0) {
-          for (const CallSite& inner : info.fn_calls[fn_index]) {
+          for (const CallSite& inner : state.corpus.calls[u][fn_index]) {
             if (inner.name_index <= body_open || inner.name_index >= body_close) {
               continue;
             }
-            const auto callees = corpus.index.find({inner.name, inner.arity});
-            if (callees == corpus.index.end()) continue;
-            for (const FnRef& ref : callees->second) {
-              const ConcSummary& callee = corpus.summaries[ref.first][ref.second];
+            for (const FnRef& ref : state.corpus.callees(inner)) {
+              const ConcSummary& callee = state.summaries[ref.first][ref.second];
               if (!callee.reaches_serial) continue;
-              emit(ctx, file, inner.line, "conc-phase-escape",
-                   "pool task calls '" + inner.name +
-                       "', which reaches CORELOCATE_SERIAL_PHASE function '" +
-                       callee.serial_witness +
-                       "' — serial-only operations must not run on pool workers");
+              report.emit(file, inner.line, "conc-phase-escape",
+                          "pool task calls '" + inner.name +
+                              "', which reaches CORELOCATE_SERIAL_PHASE function '" +
+                              callee.serial_witness +
+                              "' — serial-only operations must not run on pool "
+                              "workers");
               break;
             }
           }
@@ -573,16 +391,14 @@ void report_task_args(const Corpus& corpus, const UnitInfo& info,
         const bool method_base =
             t + 1 < arg_end && (tokens[t + 1].is(".") || tokens[t + 1].is("->"));
         if (called || qualifier || member || method_base) continue;
-        const auto by_name = corpus.name_index.find(tok.text);
-        if (by_name == corpus.name_index.end()) continue;
-        for (const FnRef& ref : by_name->second) {
-          const ConcSummary& callee = corpus.summaries[ref.first][ref.second];
+        for (const FnRef& ref : state.corpus.named(tok.text)) {
+          const ConcSummary& callee = state.summaries[ref.first][ref.second];
           if (!callee.reaches_serial) continue;
-          emit(ctx, file, tok.line, "conc-phase-escape",
-               "'" + tok.text + "' reaches CORELOCATE_SERIAL_PHASE function '" +
-                   callee.serial_witness +
-                   "' and is handed to the pool — serial-only operations must "
-                   "not run on pool workers");
+          report.emit(file, tok.line, "conc-phase-escape",
+                      "'" + tok.text + "' reaches CORELOCATE_SERIAL_PHASE function '" +
+                          callee.serial_witness +
+                          "' and is handed to the pool — serial-only operations must "
+                          "not run on pool workers");
           break;
         }
       }
@@ -590,18 +406,16 @@ void report_task_args(const Corpus& corpus, const UnitInfo& info,
   }
 }
 
-void report_pool_tasks(const Corpus& corpus, const UnitInfo& info,
-                       std::size_t fn_index, const ReportContext& ctx) {
-  for (const CallSite& call : info.fn_calls[fn_index]) {
+void report_pool_tasks(const ConcState& state, std::size_t u, std::size_t fn_index,
+                       Reporter& report) {
+  for (const CallSite& call : state.corpus.calls[u][fn_index]) {
     if (submit_name(call.name)) {
-      report_task_args(corpus, info, fn_index, call, call.args, "", ctx);
+      report_task_args(state, u, fn_index, call, call.args, "", report);
       continue;
     }
-    const auto callees = corpus.index.find({call.name, call.arity});
-    if (callees == corpus.index.end()) continue;
     std::set<std::size_t> escaping;
-    for (const FnRef& ref : callees->second) {
-      const ConcSummary& callee = corpus.summaries[ref.first][ref.second];
+    for (const FnRef& ref : state.corpus.callees(call)) {
+      const ConcSummary& callee = state.summaries[ref.first][ref.second];
       escaping.insert(callee.escaping.begin(), callee.escaping.end());
     }
     if (escaping.empty()) continue;
@@ -610,38 +424,13 @@ void report_pool_tasks(const Corpus& corpus, const UnitInfo& info,
       if (j < call.args.size()) args.push_back(call.args[j]);
     }
     if (!args.empty()) {
-      report_task_args(corpus, info, fn_index, call, args,
-                       " via '" + call.name + "'", ctx);
+      report_task_args(state, u, fn_index, call, args, " via '" + call.name + "'",
+                       report);
     }
   }
 }
 
 }  // namespace
-
-std::string path_stem(const std::string& path) {
-  const std::size_t slash = path.find_last_of("/\\");
-  std::string name = slash == std::string::npos ? path : path.substr(slash + 1);
-  const std::size_t dot = name.find_last_of('.');
-  if (dot != std::string::npos) name.resize(dot);
-  return name;
-}
-
-LockDecls scan_lock_declarations(const std::vector<TranslationUnit>& units) {
-  LockDecls decls;
-  scan_declarations(decls, units);
-  return decls;
-}
-
-int lock_rank_of(const LockDecls& decls, const std::string& stem,
-                 const std::string& name) {
-  const auto it = decls.mutex_by_stem.find({stem, name});
-  if (it != decls.mutex_by_stem.end()) return it->second;
-  const auto global = decls.mutex_global.find(name);
-  if (global != decls.mutex_global.end() && global->second.size() == 1) {
-    return *global->second.begin();
-  }
-  return -1;
-}
 
 std::vector<LockRegion> find_lock_regions(const LockDecls& decls,
                                           const std::string& stem,
@@ -724,77 +513,51 @@ std::vector<LockRegion> find_lock_regions(const LockDecls& decls,
   return regions;
 }
 
-std::vector<Finding> run_conc(const std::vector<TranslationUnit>& units) {
-  Corpus corpus;
-  corpus.decls = scan_lock_declarations(units);
-
-  corpus.infos.reserve(units.size());
-  for (const TranslationUnit& unit : units) {
+void run_conc(const Corpus& corpus, Reporter& report) {
+  const std::vector<TranslationUnit>& units = corpus.units;
+  ConcState state{corpus, {}, {}};
+  state.infos.reserve(units.size());
+  for (std::size_t u = 0; u < units.size(); ++u) {
     UnitInfo info;
-    info.unit = &unit;
-    info.stem = path_stem(unit.file.effective_path);
-    info.fn_calls.reserve(unit.functions.size());
-    info.fn_regions.reserve(unit.functions.size());
-    for (const FunctionDef& fn : unit.functions) {
-      info.fn_calls.push_back(find_calls(unit.tokens, fn.body_begin + 1, fn.body_end));
-      info.fn_regions.push_back(find_lock_regions(corpus.decls, info.stem, unit, fn));
+    info.fn_regions.reserve(units[u].functions.size());
+    for (const FunctionDef& fn : units[u].functions) {
+      info.fn_regions.push_back(
+          find_lock_regions(corpus.decls, corpus.stems[u], units[u], fn));
     }
     // Fields this unit must treat as guarded: its own stem's
     // annotations, plus every globally unambiguous one.
     for (const auto& [field, guards] : corpus.decls.guard_global) {
-      const auto stem_it = corpus.decls.guard_by_stem.find({info.stem, field});
+      const auto stem_it = corpus.decls.guard_by_stem.find({corpus.stems[u], field});
       if (stem_it != corpus.decls.guard_by_stem.end()) {
         info.guards[field] = stem_it->second;
       } else if (guards.size() == 1) {
         info.guards[field] = *guards.begin();
       }
     }
-    corpus.infos.push_back(std::move(info));
+    state.infos.push_back(std::move(info));
   }
 
-  corpus.summaries.resize(units.size());
+  // Acquires and escaping sets only grow and reaches_serial is monotone.
+  state.summaries.resize(units.size());
   std::vector<std::vector<ConcSummary>> direct(units.size());
   for (std::size_t u = 0; u < units.size(); ++u) {
-    corpus.summaries[u].assign(units[u].functions.size(), ConcSummary{});
+    state.summaries[u].assign(units[u].functions.size(), ConcSummary{});
     direct[u].reserve(units[u].functions.size());
     for (std::size_t f = 0; f < units[u].functions.size(); ++f) {
-      direct[u].push_back(direct_summary(corpus.infos[u], f));
-      const FnKey key{units[u].functions[f].name, units[u].functions[f].arity};
-      corpus.index[key].push_back({u, f});
-      corpus.name_index[units[u].functions[f].name].push_back({u, f});
+      direct[u].push_back(direct_summary(state, u, f));
     }
   }
+  iterate_to_fixpoint(corpus, state.summaries, [&](std::size_t u, std::size_t f) {
+    return flow_step(state, u, f, direct[u][f]);
+  });
 
-  // Kleene iteration from bottom: acquires/escaping only grow and
-  // reaches_serial is monotone, so the fixed point exists; the cap is a
-  // safety net for pathological call graphs.
-  for (int iter = 0; iter < 24; ++iter) {
-    bool changed = false;
-    for (std::size_t u = 0; u < units.size(); ++u) {
-      for (std::size_t f = 0; f < units[u].functions.size(); ++f) {
-        ConcSummary next = flow_step(corpus, corpus.infos[u], f, direct[u][f]);
-        if (!(next == corpus.summaries[u][f])) {
-          corpus.summaries[u][f] = std::move(next);
-          changed = true;
-        }
-      }
-    }
-    if (!changed) break;
-  }
-
-  std::vector<Finding> findings;
-  std::set<std::tuple<const SourceFile*, std::size_t, std::string>> reported;
-  ReportContext ctx;
-  ctx.findings = &findings;
-  ctx.reported = &reported;
   for (std::size_t u = 0; u < units.size(); ++u) {
     for (std::size_t f = 0; f < units[u].functions.size(); ++f) {
-      report_rank_inversion(corpus, corpus.infos[u], f, ctx);
-      report_unguarded_access(corpus, corpus.infos[u], f, ctx);
-      report_pool_tasks(corpus, corpus.infos[u], f, ctx);
+      report_rank_inversion(state, u, f, report);
+      report_unguarded_access(state, u, f, report);
+      report_pool_tasks(state, u, f, report);
     }
   }
-  return findings;
 }
 
 }  // namespace corelint

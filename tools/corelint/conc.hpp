@@ -3,8 +3,8 @@
 //
 // Builds a cross-TU lock graph from CheckedMutex<Rank> declarations and
 // RAII acquisitions (std::lock_guard / std::unique_lock / std::scoped_lock
-// / util::LockGuard), propagates may-acquire summaries over the same
-// (name, arity) call graph the taint pass uses, and checks four rules:
+// / util::LockGuard), propagates may-acquire summaries over the shared
+// (name, arity) call graph (symbols.hpp), and checks four rules:
 //
 //   conc-rank-inversion   a static path acquires a rank not strictly
 //                         above every held rank (or re-acquires a held
@@ -23,13 +23,9 @@
 //                         including lambdas that escape through helper
 //                         functions into the pool
 
-#include <map>
-#include <set>
 #include <string>
-#include <utility>
 #include <vector>
 
-#include "rules.hpp"
 #include "symbols.hpp"
 
 namespace corelint {
@@ -48,32 +44,6 @@ struct LockRegion {
   bool entry = false;     ///< held on entry (REQUIRES), not acquired here
 };
 
-/// Corpus-wide lock/guard declaration tables: constexpr rank constants,
-/// CheckedMutex aliases and variables (resolved per file-pair stem),
-/// CORELOCATE_GUARDED_BY fields and class/struct names.
-struct LockDecls {
-  std::map<std::string, long> constants;  ///< constexpr int NAME = N
-  std::map<std::string, int> alias_rank;  ///< using X = CheckedMutex<R>
-  std::map<std::pair<std::string, std::string>, int> mutex_by_stem;
-  std::map<std::string, std::set<int>> mutex_global;
-  std::map<std::pair<std::string, std::string>, std::string> guard_by_stem;
-  std::map<std::string, std::set<std::string>> guard_global;
-  std::set<std::string> type_names;  ///< class/struct names (ctor/dtor exemption)
-};
-
-/// File-pair key: "src/fleet/thread_pool.hpp" and ".cpp" share the stem
-/// "thread_pool", so a mutex declared in the header resolves at lock
-/// sites in its own implementation file first.
-std::string path_stem(const std::string& path);
-
-/// Declaration scan over the whole corpus (run once per lint).
-LockDecls scan_lock_declarations(const std::vector<TranslationUnit>& units);
-
-/// Rank of the mutex `name` seen from file pair `stem`: same-stem
-/// declaration first, then a globally unique declaration, else -1.
-int lock_rank_of(const LockDecls& decls, const std::string& stem,
-                 const std::string& name);
-
 /// Static lock-held regions of one function body: RAII guards
 /// (lock_guard/unique_lock/scoped_lock/LockGuard), manual lock()/unlock()
 /// pairs and CORELOCATE_REQUIRES entry locks.
@@ -84,6 +54,6 @@ std::vector<LockRegion> find_lock_regions(const LockDecls& decls,
 
 /// Runs the concurrency passes over the whole corpus. Suppression
 /// comments apply as for every other rule.
-std::vector<Finding> run_conc(const std::vector<TranslationUnit>& units);
+void run_conc(const Corpus& corpus, Reporter& report);
 
 }  // namespace corelint

@@ -1,9 +1,9 @@
 // corelint — the corelocate repo linter (see docs/ANALYSIS.md).
 //
 // Usage:
-//   corelint [options] <file|dir>...      lint files / trees
-//   corelint --selftest DIR               check fixture expectations
-//   corelint --ilp                        validate the built-in ILP models
+//   corelint [--format text|sarif] <file|dir>...   lint files / trees
+//   corelint --selftest DIR                        check fixture expectations
+//   corelint --list-rules                          print the rule names
 //
 // Run `corelint --help` for the flag list (generated from the FlagSpec)
 // and the registered rules with their one-line descriptions (generated
@@ -11,24 +11,19 @@
 //
 // Exit codes: 0 clean, 1 findings (or failed selftest), 2 usage/IO error.
 //
-// Baseline entries key on (rule, path tail, squeezed line text) rather
-// than line numbers, so unrelated edits above a baselined finding do not
-// invalidate it.
+// Every rule runs on every lint, and there is no baseline: the one way to
+// accept a finding is an inline `// corelint: disable(...)` comment.
 
 #include <algorithm>
-#include <chrono>
-#include <cstdio>
 #include <filesystem>
-#include <fstream>
 #include <iostream>
 #include <map>
-#include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "conc.hpp"
 #include "hotpath.hpp"
-#include "ilp_check.hpp"
 #include "rules.hpp"
 #include "sarif.hpp"
 #include "scanner.hpp"
@@ -41,40 +36,6 @@ namespace {
 
 namespace fs = std::filesystem;
 namespace util = corelocate::util;
-
-/// --stats: wall time per analysis pass, printed to stderr so it never
-/// pollutes the finding stream a CI job or SARIF consumer parses.
-struct PassStats {
-  bool enabled = false;
-  std::vector<std::pair<std::string, double>> passes;
-
-  /// Runs `body` and records its wall time under `name`.
-  template <typename Body>
-  auto time(const char* name, Body body) {
-    if (!enabled) return body();
-    const auto start = std::chrono::steady_clock::now();
-    auto result = body();
-    const std::chrono::duration<double, std::milli> elapsed =
-        std::chrono::steady_clock::now() - start;
-    passes.emplace_back(name, elapsed.count());
-    return result;
-  }
-
-  void print(std::ostream& out) const {
-    if (!enabled) return;
-    double total = 0.0;
-    out << "corelint pass timings:\n";
-    for (const auto& [name, ms] : passes) {
-      char buf[64];
-      std::snprintf(buf, sizeof buf, "  %-10s %8.2f ms\n", name.c_str(), ms);
-      out << buf;
-      total += ms;
-    }
-    char buf[64];
-    std::snprintf(buf, sizeof buf, "  %-10s %8.2f ms\n", "total", total);
-    out << buf;
-  }
-};
 
 bool lintable(const fs::path& path) {
   const std::string ext = path.extension().string();
@@ -100,41 +61,6 @@ std::vector<std::string> collect_files(const std::vector<std::string>& args) {
   return files;
 }
 
-/// Collapses runs of whitespace so formatting churn keeps baseline keys
-/// stable.
-std::string squeeze(const std::string& text) {
-  std::string out;
-  bool in_space = true;
-  for (char c : text) {
-    if (c == ' ' || c == '\t') {
-      if (!in_space) out += ' ';
-      in_space = true;
-    } else {
-      out += c;
-      in_space = false;
-    }
-  }
-  while (!out.empty() && out.back() == ' ') out.pop_back();
-  return out;
-}
-
-std::string baseline_key(const Finding& finding) {
-  return finding.rule + "|" + report_path(finding.path) + "|" +
-         squeeze(finding.code);
-}
-
-std::multiset<std::string> load_baseline(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("corelint: cannot open baseline: " + path);
-  std::multiset<std::string> entries;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.empty() || line[0] == '#') continue;
-    entries.insert(line);
-  }
-  return entries;
-}
-
 void sort_findings(std::vector<Finding>& findings) {
   std::sort(findings.begin(), findings.end(),
             [](const Finding& a, const Finding& b) {
@@ -146,132 +72,38 @@ void sort_findings(std::vector<Finding>& findings) {
 
 /// Runs the per-file rules plus the cross-TU taint, concurrency and
 /// hot-path passes over a corpus.
-std::vector<Finding> run_all(const std::vector<TranslationUnit>& units,
-                             PassStats* stats = nullptr) {
-  PassStats local;
-  if (stats == nullptr) stats = &local;
-  std::vector<Finding> findings = stats->time("rules", [&] {
-    std::vector<Finding> out;
-    for (const TranslationUnit& unit : units) {
-      std::vector<Finding> file_findings = run_rules(unit.file);
-      out.insert(out.end(), file_findings.begin(), file_findings.end());
-    }
-    return out;
-  });
-  std::vector<Finding> taint_findings =
-      stats->time("taint", [&] { return run_taint(units); });
-  findings.insert(findings.end(), taint_findings.begin(), taint_findings.end());
-  std::vector<Finding> conc_findings =
-      stats->time("conc", [&] { return run_conc(units); });
-  findings.insert(findings.end(), conc_findings.begin(), conc_findings.end());
-  std::vector<Finding> hot_findings =
-      stats->time("hotpath", [&] { return run_hotpath(units); });
-  findings.insert(findings.end(), hot_findings.begin(), hot_findings.end());
+std::vector<Finding> run_all(const Corpus& corpus) {
+  std::vector<Finding> findings;
+  for (const TranslationUnit& unit : corpus.units) {
+    std::vector<Finding> file_findings = run_rules(unit.file);
+    findings.insert(findings.end(), file_findings.begin(), file_findings.end());
+  }
+  Reporter report;
+  run_taint(corpus, report);
+  run_conc(corpus, report);
+  run_hotpath(corpus, report);
+  findings.insert(findings.end(), report.findings().begin(), report.findings().end());
   sort_findings(findings);
   return findings;
 }
 
-/// `git status --porcelain` near the baseline file: non-empty output is
-/// a dirty tree. Outside a git checkout the check passes (nothing to
-/// protect).
-bool tree_is_dirty(const std::string& near_path) {
-  const std::string dir = fs::absolute(near_path).parent_path().string();
-  if (dir.find('\'') != std::string::npos) return false;
-  const std::string cmd =
-      "git -C '" + dir + "' status --porcelain 2>/dev/null";
-  FILE* pipe = ::popen(cmd.c_str(), "r");
-  if (pipe == nullptr) return false;
-  char buf[256];
-  std::string out;
-  while (std::fgets(buf, sizeof buf, pipe) != nullptr) out += buf;
-  const int status = ::pclose(pipe);
-  if (status != 0) return false;
-  return !out.empty();
-}
-
-struct LintOptions {
-  std::string baseline_path;
-  std::string write_baseline_path;
-  std::string format = "text";
-  bool allow_dirty = false;
-  bool concurrency_only = false;  ///< report only the conc-* rules
-  bool hotpath_only = false;      ///< report only the perf-* / arch-* rules
-  bool stats = false;             ///< print per-pass wall time to stderr
-};
-
-int run_lint(const std::vector<std::string>& paths, const LintOptions& options) {
-  PassStats stats;
-  stats.enabled = options.stats;
-  std::vector<TranslationUnit> units = stats.time("scan", [&] {
-    std::vector<TranslationUnit> out;
-    for (const std::string& path : collect_files(paths)) {
-      out.push_back(make_unit(scan_file(path)));
-    }
-    return out;
-  });
-  std::vector<Finding> findings = run_all(units, &stats);
-  stats.print(std::cerr);
-  if (options.concurrency_only || options.hotpath_only) {
-    const auto kept = [&](const Finding& finding) {
-      if (options.concurrency_only && finding.rule.rfind("conc-", 0) == 0) {
-        return true;
-      }
-      if (options.hotpath_only && (finding.rule.rfind("perf-", 0) == 0 ||
-                                   finding.rule.rfind("arch-", 0) == 0)) {
-        return true;
-      }
-      return false;
-    };
-    findings.erase(std::remove_if(findings.begin(), findings.end(),
-                                  [&](const Finding& finding) {
-                                    return !kept(finding);
-                                  }),
-                   findings.end());
+int run_lint(const std::vector<std::string>& paths, const std::string& format) {
+  std::vector<TranslationUnit> units;
+  for (const std::string& path : collect_files(paths)) {
+    units.push_back(make_unit(scan_file(path)));
   }
-
-  if (!options.write_baseline_path.empty()) {
-    if (!options.allow_dirty && tree_is_dirty(options.write_baseline_path)) {
-      std::cerr << "corelint: refusing to write a baseline from a dirty "
-                   "working tree — a baseline must correspond to a commit.\n"
-                   "Commit or stash first, or pass --allow-dirty.\n";
-      return 2;
-    }
-    std::ofstream out(options.write_baseline_path);
-    out << "# corelint baseline — suppressed pre-existing findings.\n"
-        << "# Each line: rule|path tail|whitespace-squeezed source line.\n"
-        << "# Fix the finding and delete its line; never add new entries\n"
-        << "# for new code.\n";
-    for (const Finding& finding : findings) out << baseline_key(finding) << '\n';
-    std::cerr << "corelint: wrote " << findings.size() << " baseline entr"
-              << (findings.size() == 1 ? "y" : "ies") << " to "
-              << options.write_baseline_path << '\n';
-    return 0;
+  const std::vector<Finding> findings = run_all(build_corpus(std::move(units)));
+  if (format == "sarif") {
+    write_sarif(std::cout, findings);
+    return findings.empty() ? 0 : 1;
   }
-
-  std::multiset<std::string> baseline;
-  if (!options.baseline_path.empty()) baseline = load_baseline(options.baseline_path);
-
-  std::vector<Finding> fresh;
   for (const Finding& finding : findings) {
-    const auto it = baseline.find(baseline_key(finding));
-    if (it != baseline.end()) {
-      baseline.erase(it);  // each entry excuses one finding
-      continue;
-    }
-    fresh.push_back(finding);
-  }
-
-  if (options.format == "sarif") {
-    write_sarif(std::cout, fresh);
-    return fresh.empty() ? 0 : 1;
-  }
-  for (const Finding& finding : fresh) {
     std::cout << report_path(finding.path) << ':' << finding.line << ": ["
               << finding.rule << "] " << finding.message << '\n';
   }
-  if (!fresh.empty()) {
-    std::cout << "corelint: " << fresh.size() << " finding"
-              << (fresh.size() == 1 ? "" : "s")
+  if (!findings.empty()) {
+    std::cout << "corelint: " << findings.size() << " finding"
+              << (findings.size() == 1 ? "" : "s")
               << " (see docs/ANALYSIS.md for the rules and suppression syntax)\n";
     return 1;
   }
@@ -300,8 +132,9 @@ int run_selftest(const std::string& dir) {
     ++files;
     std::vector<TranslationUnit> units;
     units.push_back(make_unit(scan_file(path)));
-    const SourceFile& file = units.front().file;
-    const std::vector<Finding> findings = run_all(units);
+    const Corpus corpus = build_corpus(std::move(units));
+    const SourceFile& file = corpus.units.front().file;
+    const std::vector<Finding> findings = run_all(corpus);
 
     std::map<std::pair<std::size_t, std::string>, int> found;
     for (const Finding& finding : findings) {
@@ -354,20 +187,8 @@ int run_selftest(const std::string& dir) {
 util::FlagSpec make_spec() {
   util::FlagSpec spec("corelint <file|dir>...",
                       "the corelocate repo linter (docs/ANALYSIS.md)");
-  spec.add("baseline", "FILE", "suppress findings recorded in FILE")
-      .add("write-baseline", "FILE",
-           "write current findings to FILE and exit 0 (refuses on a dirty "
-           "tree)")
-      .add("allow-dirty", "", "let --write-baseline run on a dirty tree")
-      .add("format", "text|sarif", "report format (default text)")
-      .add("concurrency", "",
-           "report only the conc-* rules (lock graph / phase discipline)")
-      .add("hotpath", "",
-           "report only the perf-* and arch-* rules (hot-path performance / "
-           "layering gate)")
-      .add("stats", "", "print per-pass wall time to stderr")
+  spec.add("format", "text|sarif", "report format (default text)")
       .add("selftest", "DIR", "check fixture expectations in DIR and exit")
-      .add("ilp", "", "validate the built-in ILP models and exit")
       .add("list-rules", "", "print the rule names and exit");
   return spec;
 }
@@ -402,24 +223,16 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  LintOptions options;
-  options.baseline_path = flags.get("baseline", "");
-  options.write_baseline_path = flags.get("write-baseline", "");
-  options.allow_dirty = flags.get_bool("allow-dirty");
-  options.format = flags.get("format", "text");
-  if (options.format != "text" && options.format != "sarif") {
-    throw std::runtime_error("corelint: unknown format " + options.format);
+  const std::string format = flags.get("format", "text");
+  if (format != "text" && format != "sarif") {
+    throw std::runtime_error("corelint: unknown format " + format);
   }
-  options.concurrency_only = flags.get_bool("concurrency");
-  options.hotpath_only = flags.get_bool("hotpath");
-  options.stats = flags.get_bool("stats");
 
-  if (flags.get_bool("ilp")) return run_ilp_check(std::cout);
   if (flags.has("selftest")) return run_selftest(flags.get("selftest", ""));
   if (flags.positional().empty()) {
     throw std::runtime_error("corelint: no inputs (try --help)");
   }
-  return run_lint(flags.positional(), options);
+  return run_lint(flags.positional(), format);
 }
 
 }  // namespace

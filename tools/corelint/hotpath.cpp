@@ -4,7 +4,6 @@
 #include <map>
 #include <set>
 #include <string>
-#include <tuple>
 #include <utility>
 
 #include "conc.hpp"
@@ -87,23 +86,16 @@ Span enclosing_scope(const std::vector<Token>& tokens, const FunctionDef& fn,
 
 // ------------------------------------------------------------------- corpus
 
-using FnKey = std::pair<std::string, int>;
-using FnRef = std::pair<std::size_t, std::size_t>;  ///< (unit index, fn index)
-
 struct UnitHot {
-  const TranslationUnit* unit = nullptr;
-  std::string stem;
   /// CORELOCATE_HOT_LOOP regions in this unit, with the index of the
   /// function each marker sits in (for perf-span-missing).
   std::vector<Span> marked;
   std::vector<std::pair<std::size_t, std::size_t>> markers;  ///< (token, fn)
 };
 
-struct HotCorpus {
+struct HotState {
+  const Corpus& corpus;
   std::vector<UnitHot> infos;
-  std::map<FnKey, std::vector<FnRef>> index;
-  std::map<std::string, std::vector<FnRef>> name_index;  ///< any arity
-  LockDecls decls;
   std::vector<std::vector<bool>> hot;  ///< per unit, per function
 };
 
@@ -139,8 +131,7 @@ bool name_mention(const std::vector<Token>& tokens, std::size_t t) {
 /// Collects CORELOCATE_HOT_LOOP markers in one unit: a marker directly
 /// before a for/while/do marks that loop, anywhere else it marks its
 /// innermost enclosing brace scope.
-void find_markers(UnitHot& info) {
-  const TranslationUnit& unit = *info.unit;
+void find_markers(const TranslationUnit& unit, UnitHot& info) {
   const std::vector<Token>& tokens = unit.tokens;
   for (std::size_t t = 0; t < tokens.size(); ++t) {
     if (!tokens[t].is_ident(kMarker)) continue;
@@ -161,22 +152,20 @@ void find_markers(UnitHot& info) {
   }
 }
 
-/// Resolves the functions reachable from the token range [begin, end):
-/// call targets by (name, arity), bare mentions by name at any arity.
-void seed_range(const HotCorpus& corpus, const UnitHot& info, std::size_t begin,
+/// Resolves the functions reachable from the token range [begin, end)
+/// of `tokens`, whose call sites are `calls`: call targets by
+/// (name, arity), bare mentions by name at any arity.
+void seed_range(const Corpus& corpus, const std::vector<Token>& tokens,
+                const std::vector<CallSite>& calls, std::size_t begin,
                 std::size_t end, std::vector<FnRef>& out) {
-  const std::vector<Token>& tokens = info.unit->tokens;
-  for (const CallSite& call :
-       find_calls(tokens, begin, std::min(end, tokens.size()))) {
-    const auto it = corpus.index.find({call.name, call.arity});
-    if (it == corpus.index.end()) continue;
-    out.insert(out.end(), it->second.begin(), it->second.end());
+  for (const CallSite& call : calls) {
+    const std::vector<FnRef>& callees = corpus.callees(call);
+    out.insert(out.end(), callees.begin(), callees.end());
   }
   for (std::size_t t = begin; t < end && t < tokens.size(); ++t) {
     if (!name_mention(tokens, t)) continue;
-    const auto it = corpus.name_index.find(tokens[t].text);
-    if (it == corpus.name_index.end()) continue;
-    out.insert(out.end(), it->second.begin(), it->second.end());
+    const std::vector<FnRef>& named = corpus.named(tokens[t].text);
+    out.insert(out.end(), named.begin(), named.end());
   }
 }
 
@@ -184,39 +173,27 @@ void seed_range(const HotCorpus& corpus, const UnitHot& info, std::size_t begin,
 /// from a marked region; each newly hot function contributes everything
 /// reachable from its own body. Hotness only grows, so the worklist
 /// drains.
-void propagate_hotness(HotCorpus& corpus) {
+void propagate_hotness(HotState& state) {
+  const Corpus& corpus = state.corpus;
   std::vector<FnRef> worklist;
-  for (const UnitHot& info : corpus.infos) {
-    for (const Span& span : info.marked) {
-      seed_range(corpus, info, span.begin + 1, span.end, worklist);
+  for (std::size_t u = 0; u < corpus.units.size(); ++u) {
+    const std::vector<Token>& tokens = corpus.units[u].tokens;
+    for (const Span& span : state.infos[u].marked) {
+      seed_range(corpus, tokens,
+                 find_calls(tokens, span.begin + 1, std::min(span.end, tokens.size())),
+                 span.begin + 1, span.end, worklist);
     }
   }
   while (!worklist.empty()) {
     const FnRef ref = worklist.back();
     worklist.pop_back();
-    if (corpus.hot[ref.first][ref.second]) continue;
-    corpus.hot[ref.first][ref.second] = true;
-    const UnitHot& info = corpus.infos[ref.first];
-    const FunctionDef& fn = info.unit->functions[ref.second];
-    seed_range(corpus, info, fn.body_begin + 1, fn.body_end, worklist);
+    if (state.hot[ref.first][ref.second]) continue;
+    state.hot[ref.first][ref.second] = true;
+    const TranslationUnit& unit = corpus.units[ref.first];
+    const FunctionDef& fn = unit.functions[ref.second];
+    seed_range(corpus, unit.tokens, corpus.calls[ref.first][ref.second],
+               fn.body_begin + 1, fn.body_end, worklist);
   }
-}
-
-// ---------------------------------------------------------------- reporting
-
-struct ReportContext {
-  std::vector<Finding>* findings = nullptr;
-  std::set<std::tuple<const SourceFile*, std::size_t, std::string>>* reported =
-      nullptr;
-};
-
-void emit(const ReportContext& ctx, const SourceFile& file, std::size_t line,
-          const std::string& rule, const std::string& message) {
-  if (line >= file.lines.size()) return;
-  if (!ctx.reported->insert({&file, line, rule}).second) return;
-  if (file.suppressed(rule, line)) return;
-  ctx.findings->push_back(
-      Finding{file.path, line + 1, rule, message, file.lines[line].code});
 }
 
 // -------------------------------------------------------------- loop finding
@@ -230,16 +207,17 @@ struct HotLoop {
 /// Loops that run hot in one unit: every loop inside a marked region
 /// (including the marked loop itself) and every loop in the body of a
 /// hot function.
-std::vector<HotLoop> hot_loops(const HotCorpus& corpus, std::size_t u) {
-  const UnitHot& info = corpus.infos[u];
-  const std::vector<Token>& tokens = info.unit->tokens;
+std::vector<HotLoop> hot_loops(const HotState& state, std::size_t u) {
+  const UnitHot& info = state.infos[u];
+  const TranslationUnit& unit = state.corpus.units[u];
+  const std::vector<Token>& tokens = unit.tokens;
   std::vector<HotLoop> loops;
-  for (std::size_t f = 0; f < info.unit->functions.size(); ++f) {
-    const FunctionDef& fn = info.unit->functions[f];
+  for (std::size_t f = 0; f < unit.functions.size(); ++f) {
+    const FunctionDef& fn = unit.functions[f];
     for (std::size_t t = fn.body_begin + 1; t < fn.body_end; ++t) {
       if (tokens[t].kind != Token::Kind::kIdent) continue;
       if (!loop_keyword(tokens[t].text)) continue;
-      bool is_hot = corpus.hot[u][f];
+      bool is_hot = state.hot[u][f];
       for (const Span& span : info.marked) {
         if (is_hot) break;
         is_hot = span.contains(t);
@@ -290,10 +268,8 @@ bool has_reserve(const std::vector<Token>& tokens, const FunctionDef& fn,
   return false;
 }
 
-void report_alloc_in_hot_loop(const UnitHot& info,
-                              const std::vector<HotLoop>& loops,
-                              const ReportContext& ctx) {
-  const TranslationUnit& unit = *info.unit;
+void report_alloc_in_hot_loop(const TranslationUnit& unit,
+                              const std::vector<HotLoop>& loops, Reporter& report) {
   const SourceFile& file = unit.file;
   const std::vector<Token>& tokens = unit.tokens;
   const std::string rule = "perf-alloc-in-hot-loop";
@@ -304,18 +280,18 @@ void report_alloc_in_hot_loop(const UnitHot& info,
     for (std::size_t t = loop.span.begin; t < loop.span.end; ++t) {
       const Token& tok = tokens[t];
       if (tok.is_ident("new")) {
-        emit(ctx, file, tok.line, rule,
-             "`new` runs every iteration of a hot loop — allocate once "
-             "outside the loop or use a pooled buffer");
+        report.emit(file, tok.line, rule,
+                    "`new` runs every iteration of a hot loop — allocate once "
+                    "outside the loop or use a pooled buffer");
         continue;
       }
       if ((tok.is_ident("make_unique") || tok.is_ident("make_shared")) &&
           t + 1 < loop.span.end &&
           (tokens[t + 1].is("<") || tokens[t + 1].is("("))) {
-        emit(ctx, file, tok.line, rule,
-             "std::" + tok.text +
-                 " allocates every iteration of a hot loop — hoist the "
-                 "allocation or reuse one object");
+        report.emit(file, tok.line, rule,
+                    "std::" + tok.text +
+                        " allocates every iteration of a hot loop — hoist the "
+                        "allocation or reuse one object");
         continue;
       }
       if ((tok.is_ident("push_back") || tok.is_ident("emplace_back")) &&
@@ -323,11 +299,11 @@ void report_alloc_in_hot_loop(const UnitHot& info,
           tokens[t - 2].kind == Token::Kind::kIdent) {
         const std::string& base = tokens[t - 2].text;
         if (!has_reserve(tokens, fn, base)) {
-          emit(ctx, file, tok.line, rule,
-               "'" + base + "." + tok.text +
-                   "' grows inside a hot loop with no visible '" + base +
-                   ".reserve(...)' in this function — reserve the capacity "
-                   "up front");
+          report.emit(file, tok.line, rule,
+                      "'" + base + "." + tok.text +
+                          "' grows inside a hot loop with no visible '" + base +
+                          ".reserve(...)' in this function — reserve the capacity "
+                          "up front");
         }
         continue;
       }
@@ -342,21 +318,19 @@ void report_alloc_in_hot_loop(const UnitHot& info,
                                  tokens[t + 1].kind == Token::Kind::kString;
         if ((string_lhs || literal_rhs) &&
             !(ident_lhs && has_reserve(tokens, fn, tokens[t - 1].text))) {
-          emit(ctx, file, tok.line, rule,
-               "string += inside a hot loop reallocates the accumulator "
-               "every iteration — reserve its capacity, or build the pieces "
-               "outside the loop");
+          report.emit(file, tok.line, rule,
+                      "string += inside a hot loop reallocates the accumulator "
+                      "every iteration — reserve its capacity, or build the pieces "
+                      "outside the loop");
         }
       }
     }
   }
 }
 
-void report_copy_in_hot_path(const HotCorpus& corpus, std::size_t u,
-                             const std::vector<HotLoop>& loops,
-                             const ReportContext& ctx) {
-  const UnitHot& info = corpus.infos[u];
-  const TranslationUnit& unit = *info.unit;
+void report_copy_in_hot_path(const HotState& state, std::size_t u,
+                             const std::vector<HotLoop>& loops, Reporter& report) {
+  const TranslationUnit& unit = state.corpus.units[u];
   const SourceFile& file = unit.file;
   const std::vector<Token>& tokens = unit.tokens;
   const std::string rule = "perf-copy-in-hot-path";
@@ -393,7 +367,7 @@ void report_copy_in_hot_path(const HotCorpus& corpus, std::size_t u,
 
   // Heavy parameters of hot functions, taken by value.
   for (std::size_t f = 0; f < unit.functions.size(); ++f) {
-    if (!corpus.hot[u][f]) continue;
+    if (!state.hot[u][f]) continue;
     const FunctionDef& fn = unit.functions[f];
     if (fn.params_begin >= fn.params_end) continue;
     for (const auto& [part_begin, part_end] :
@@ -413,10 +387,10 @@ void report_copy_in_hot_path(const HotCorpus& corpus, std::size_t u,
       if (last_ident != nullptr && moved_in_body(fn, last_ident->text)) {
         continue;
       }
-      emit(ctx, file, heavy->line, rule,
-           "hot function '" + fn.name + "' copies a " + heavy->text +
-               " parameter by value on every call — take it by const "
-               "reference, or std::move it into its destination");
+      report.emit(file, heavy->line, rule,
+                  "hot function '" + fn.name + "' copies a " + heavy->text +
+                      " parameter by value on every call — take it by const "
+                      "reference, or std::move it into its destination");
     }
   }
 
@@ -448,17 +422,15 @@ void report_copy_in_hot_path(const HotCorpus& corpus, std::size_t u,
       }
     }
     if (heavy == last_ident) continue;
-    emit(ctx, file, tokens[t].line, rule,
-         "range-for in a hot loop copies each " + heavy->text +
-             " element by value — bind `const auto&`");
+    report.emit(file, tokens[t].line, rule,
+                "range-for in a hot loop copies each " + heavy->text +
+                    " element by value — bind `const auto&`");
   }
 }
 
-void report_lock_in_hot_loop(const HotCorpus& corpus, std::size_t u,
-                             const std::vector<HotLoop>& loops,
-                             const ReportContext& ctx) {
-  const UnitHot& info = corpus.infos[u];
-  const TranslationUnit& unit = *info.unit;
+void report_lock_in_hot_loop(const Corpus& corpus, std::size_t u,
+                             const std::vector<HotLoop>& loops, Reporter& report) {
+  const TranslationUnit& unit = corpus.units[u];
   const SourceFile& file = unit.file;
 
   std::set<std::size_t> fns;
@@ -466,16 +438,16 @@ void report_lock_in_hot_loop(const HotCorpus& corpus, std::size_t u,
   for (std::size_t f : fns) {
     const FunctionDef& fn = unit.functions[f];
     const std::vector<LockRegion> regions =
-        find_lock_regions(corpus.decls, info.stem, unit, fn);
+        find_lock_regions(corpus.decls, corpus.stems[u], unit, fn);
     for (const LockRegion& region : regions) {
       if (region.entry) continue;
       for (const HotLoop& loop : loops) {
         if (loop.fn != f) continue;
         if (loop.span.begin < region.begin && region.begin < loop.span.end) {
-          emit(ctx, file, region.line, "perf-lock-in-hot-loop",
-               "acquires '" + region.mutex +
-                   "' inside a hot loop — every iteration pays the lock; "
-                   "hoist the acquisition or batch the critical section");
+          report.emit(file, region.line, "perf-lock-in-hot-loop",
+                      "acquires '" + region.mutex +
+                          "' inside a hot loop — every iteration pays the lock; "
+                          "hoist the acquisition or batch the critical section");
           break;
         }
       }
@@ -483,8 +455,8 @@ void report_lock_in_hot_loop(const HotCorpus& corpus, std::size_t u,
   }
 }
 
-void report_span_missing(const UnitHot& info, const ReportContext& ctx) {
-  const TranslationUnit& unit = *info.unit;
+void report_span_missing(const TranslationUnit& unit, const UnitHot& info,
+                         Reporter& report) {
   const SourceFile& file = unit.file;
   const std::vector<Token>& tokens = unit.tokens;
   for (const auto& [marker, f] : info.markers) {
@@ -494,10 +466,10 @@ void report_span_missing(const UnitHot& info, const ReportContext& ctx) {
       has_span = tokens[t].is_ident("Span");
     }
     if (has_span) continue;
-    emit(ctx, file, tokens[marker].line, "perf-span-missing",
-         "'" + fn.name +
-             "' marks a hot loop but opens no obs::Span — wrap the work in "
-             "a span so perf reports can attribute its cost");
+    report.emit(file, tokens[marker].line, "perf-span-missing",
+                "'" + fn.name +
+                    "' marks a hot loop but opens no obs::Span — wrap the work in "
+                    "a span so perf reports can attribute its cost");
   }
 }
 
@@ -525,8 +497,7 @@ std::string src_subsystem(const std::string& path) {
   return tail.substr(4, slash - 4);
 }
 
-void report_layering(const std::vector<TranslationUnit>& units,
-                     const ReportContext& ctx) {
+void report_layering(const std::vector<TranslationUnit>& units, Reporter& report) {
   const std::string rule = "arch-layering";
   for (const TranslationUnit& unit : units) {
     const std::string from = src_subsystem(unit.file.effective_path);
@@ -540,13 +511,13 @@ void report_layering(const std::vector<TranslationUnit>& units,
       const int to_layer = subsystem_layer(to);
       if (to_layer < 0 || to == from) continue;
       if (to_layer < from_layer) continue;
-      emit(ctx, unit.file, include.line, rule,
-           "'" + from + "' (layer " + std::to_string(from_layer) +
-               ") includes \"" + include.path + "\" from '" + to + "' (layer " +
-               std::to_string(to_layer) +
-               ") — subsystems may only include strictly lower layers "
-               "(util -> obs/mesh/msr/recordio -> thermal/cache/ilp -> "
-               "sim -> core -> covert/fleet -> serve)");
+      report.emit(unit.file, include.line, rule,
+                  "'" + from + "' (layer " + std::to_string(from_layer) +
+                      ") includes \"" + include.path + "\" from '" + to + "' (layer " +
+                      std::to_string(to_layer) +
+                      ") — subsystems may only include strictly lower layers "
+                      "(util -> obs/mesh/msr/recordio -> thermal/cache/ilp -> "
+                      "sim -> core -> covert/fleet -> serve)");
     }
   }
 
@@ -581,11 +552,11 @@ void report_layering(const std::vector<TranslationUnit>& units,
                      report_path(units[n].file.effective_path);
           }
         }
-        emit(ctx, units[node].file, line, rule,
-             "#include completes an include cycle (" + chain + " -> " +
-                 report_path(units[target].file.effective_path) +
-                 ") — break the cycle with a forward declaration or by "
-                 "moving the shared piece down a layer");
+        report.emit(units[node].file, line, rule,
+                    "#include completes an include cycle (" + chain + " -> " +
+                        report_path(units[target].file.effective_path) +
+                        ") — break the cycle with a forward declaration or by "
+                        "moving the shared piece down a layer");
         continue;
       }
       if (color[target] == 0) {
@@ -598,42 +569,25 @@ void report_layering(const std::vector<TranslationUnit>& units,
 
 }  // namespace
 
-std::vector<Finding> run_hotpath(const std::vector<TranslationUnit>& units) {
-  HotCorpus corpus;
-  corpus.decls = scan_lock_declarations(units);
-  corpus.infos.reserve(units.size());
-  corpus.hot.resize(units.size());
+void run_hotpath(const Corpus& corpus, Reporter& report) {
+  const std::vector<TranslationUnit>& units = corpus.units;
+  HotState state{corpus, std::vector<UnitHot>(units.size()), {}};
+  state.hot.resize(units.size());
   for (std::size_t u = 0; u < units.size(); ++u) {
-    UnitHot info;
-    info.unit = &units[u];
-    info.stem = path_stem(units[u].file.effective_path);
-    corpus.hot[u].assign(units[u].functions.size(), false);
-    find_markers(info);
-    corpus.infos.push_back(std::move(info));
-    for (std::size_t f = 0; f < units[u].functions.size(); ++f) {
-      const FunctionDef& fn = units[u].functions[f];
-      corpus.index[{fn.name, fn.arity}].push_back({u, f});
-      corpus.name_index[fn.name].push_back({u, f});
-    }
+    state.hot[u].assign(units[u].functions.size(), false);
+    find_markers(units[u], state.infos[u]);
   }
 
-  propagate_hotness(corpus);
-
-  std::vector<Finding> findings;
-  std::set<std::tuple<const SourceFile*, std::size_t, std::string>> reported;
-  ReportContext ctx;
-  ctx.findings = &findings;
-  ctx.reported = &reported;
+  propagate_hotness(state);
 
   for (std::size_t u = 0; u < units.size(); ++u) {
-    const std::vector<HotLoop> loops = hot_loops(corpus, u);
-    report_alloc_in_hot_loop(corpus.infos[u], loops, ctx);
-    report_copy_in_hot_path(corpus, u, loops, ctx);
-    report_lock_in_hot_loop(corpus, u, loops, ctx);
-    report_span_missing(corpus.infos[u], ctx);
+    const std::vector<HotLoop> loops = hot_loops(state, u);
+    report_alloc_in_hot_loop(units[u], loops, report);
+    report_copy_in_hot_path(state, u, loops, report);
+    report_lock_in_hot_loop(corpus, u, loops, report);
+    report_span_missing(units[u], state.infos[u], report);
   }
-  report_layering(units, ctx);
-  return findings;
+  report_layering(units, report);
 }
 
 }  // namespace corelint

@@ -7,10 +7,10 @@
 // anywhere else it marks the innermost enclosing brace scope (a lambda
 // body, or the whole function body). Every function called — or passed
 // by name, e.g. into a callback parameter — inside a marked region
-// becomes hot, and hotness propagates through the same cross-TU
-// (name, arity) call graph the taint and concurrency passes use, to a
-// Kleene fixpoint. A loop is hot when it sits in a marked region or in
-// the body of a hot function.
+// becomes hot, and hotness propagates through the shared cross-TU
+// (name, arity) call graph (symbols.hpp) to a Kleene fixpoint. A loop
+// is hot when it sits in a marked region or in the body of a hot
+// function.
 //
 // Four performance rules read that closure:
 //
@@ -41,15 +41,12 @@
 //                           lower layer, and no include cycle may exist
 //                           anywhere in the scanned corpus.
 
-#include <vector>
-
-#include "rules.hpp"
 #include "symbols.hpp"
 
 namespace corelint {
 
 /// Runs the hot-path + layering passes over the whole corpus.
 /// Suppression comments apply as for every other rule.
-std::vector<Finding> run_hotpath(const std::vector<TranslationUnit>& units);
+void run_hotpath(const Corpus& corpus, Reporter& report);
 
 }  // namespace corelint

@@ -20,8 +20,7 @@ void add_finding(std::vector<Finding>& findings, const SourceFile& file,
                  std::size_t line, const std::string& rule,
                  const std::string& message) {
   if (file.suppressed(rule, line)) return;
-  findings.push_back(
-      Finding{file.path, line + 1, rule, message, file.lines[line].code});
+  findings.push_back(Finding{file.path, line + 1, rule, message});
 }
 
 // ---------------------------------------------------------------- det-wallclock

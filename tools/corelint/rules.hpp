@@ -78,11 +78,10 @@ struct Finding {
   std::size_t line;   ///< 1-based
   std::string rule;
   std::string message;
-  std::string code;   ///< stripped code of the offending line (baseline key)
 };
 
-/// One registered rule: the name the baseline/suppression machinery
-/// keys on, plus the one-line description `--help` prints.
+/// One registered rule: the name suppression comments key on, plus the
+/// one-line description `--help` prints.
 struct RuleInfo {
   const char* name;
   const char* summary;
@@ -110,10 +109,9 @@ const char* ambient_source_token(const std::string& code);
 /// pass's iteration-order source).
 std::vector<std::string> unordered_idents(const SourceFile& file);
 
-/// Repo-relative path tail used in reports, SARIF locations and
-/// baseline keys: the part starting at the first repo-root marker
-/// (src/, tests/, ...), so build trees and checkouts in different
-/// locations agree.
+/// Repo-relative path tail used in reports and SARIF locations: the
+/// part starting at the first repo-root marker (src/, tests/, ...), so
+/// build trees and checkouts in different locations agree.
 std::string report_path(const std::string& path);
 
 }  // namespace corelint

@@ -1,5 +1,6 @@
 #include "symbols.hpp"
 
+#include <cstdlib>
 #include <set>
 #include <utility>
 
@@ -118,21 +119,6 @@ std::vector<CallSite> find_calls(const std::vector<Token>& tokens, std::size_t b
     calls.push_back(std::move(call));
   }
   return calls;
-}
-
-int innermost_function(const std::vector<FunctionDef>& functions, std::size_t line) {
-  int best = -1;
-  std::size_t best_span = 0;
-  for (std::size_t f = 0; f < functions.size(); ++f) {
-    const FunctionDef& fn = functions[f];
-    if (fn.begin_line > line || line > fn.end_line) continue;
-    const std::size_t span = fn.end_line - fn.begin_line;
-    if (best < 0 || span < best_span) {
-      best = static_cast<int>(f);
-      best_span = span;
-    }
-  }
-  return best;
 }
 
 TranslationUnit make_unit(SourceFile file) {
@@ -283,6 +269,228 @@ IncludeGraph build_include_graph(const std::vector<TranslationUnit>& units) {
     }
   }
   return graph;
+}
+
+/// Index one past the '>' matching the '<' at `open`; tokens.size() when
+/// the statement ends before it balances (then it was not a template-id).
+std::size_t skip_angles(const std::vector<Token>& tokens, std::size_t open) {
+  int depth = 0;
+  for (std::size_t t = open; t < tokens.size(); ++t) {
+    const Token& tok = tokens[t];
+    if (tok.is("<")) {
+      ++depth;
+    } else if (tok.is(">")) {
+      if (--depth <= 0) return t + 1;
+    } else if (tok.is(">>")) {
+      depth -= 2;
+      if (depth <= 0) return t + 1;
+    } else if (tok.is("(")) {
+      t = match_group(tokens, t);
+      if (t >= tokens.size()) break;
+    } else if (tok.is(";") || tok.is("{")) {
+      break;
+    }
+  }
+  return tokens.size();
+}
+
+std::string last_ident(const std::vector<Token>& tokens, std::size_t begin,
+                       std::size_t end) {
+  std::string last;
+  for (std::size_t t = begin; t < end && t < tokens.size(); ++t) {
+    if (tokens[t].kind == Token::Kind::kIdent && !is_control_keyword(tokens[t].text)) {
+      last = tokens[t].text;
+    }
+  }
+  return last;
+}
+
+int lock_rank_of(const LockDecls& decls, const std::string& stem,
+                 const std::string& name) {
+  const auto it = decls.mutex_by_stem.find({stem, name});
+  if (it != decls.mutex_by_stem.end()) return it->second;
+  const auto global = decls.mutex_global.find(name);
+  if (global != decls.mutex_global.end() && global->second.size() == 1) {
+    return *global->second.begin();
+  }
+  return -1;
+}
+
+namespace {
+
+std::string path_stem(const std::string& path) {
+  const std::size_t slash = path.find_last_of("/\\");
+  std::string name = slash == std::string::npos ? path : path.substr(slash + 1);
+  const std::size_t dot = name.find_last_of('.');
+  if (dot != std::string::npos) name.resize(dot);
+  return name;
+}
+
+/// Rank named by the token range of a CheckedMutex<...> argument: a
+/// literal, or a named constant from the corpus-wide table.
+int resolve_rank(const LockDecls& decls, const std::vector<Token>& tokens,
+                 std::size_t begin, std::size_t end) {
+  std::string ident;
+  std::string number;
+  for (std::size_t t = begin; t < end && t < tokens.size(); ++t) {
+    if (tokens[t].kind == Token::Kind::kIdent) ident = tokens[t].text;
+    if (tokens[t].kind == Token::Kind::kNumber) number = tokens[t].text;
+  }
+  if (!ident.empty()) {
+    const auto it = decls.constants.find(ident);
+    return it == decls.constants.end() ? -1 : static_cast<int>(it->second);
+  }
+  if (!number.empty()) {
+    char* rest = nullptr;
+    const long value = std::strtol(number.c_str(), &rest, 0);
+    if (rest != nullptr && *rest == '\0') return static_cast<int>(value);
+  }
+  return -1;
+}
+
+void record_mutex(LockDecls& decls, const std::string& stem, const std::string& var,
+                  int rank) {
+  const auto key = std::make_pair(stem, var);
+  const auto it = decls.mutex_by_stem.find(key);
+  if (it == decls.mutex_by_stem.end()) {
+    decls.mutex_by_stem.emplace(key, rank);
+  } else if (it->second != rank) {
+    it->second = -1;  // two declarations in one file pair: ambiguous
+  }
+  decls.mutex_global[var].insert(rank);
+}
+
+/// Declaration scan: constants, CheckedMutex aliases and variables,
+/// GUARDED_BY fields and class/struct names, across the whole corpus.
+void scan_declarations(LockDecls& decls, const std::vector<TranslationUnit>& units,
+                       const std::vector<std::string>& stems) {
+  // Constants first — mutex declarations in any unit may name a constant
+  // from another (src/util/lockranks.hpp is the registry).
+  for (const TranslationUnit& unit : units) {
+    const std::vector<Token>& tokens = unit.tokens;
+    for (std::size_t t = 0; t + 1 < tokens.size(); ++t) {
+      if (!tokens[t].is_ident("constexpr")) continue;
+      for (std::size_t u = t + 1; u + 2 < tokens.size(); ++u) {
+        if (tokens[u].is(";") || tokens[u].is("{") || tokens[u].is("(")) break;
+        if (tokens[u].is("=") && u > t + 1 &&
+            tokens[u - 1].kind == Token::Kind::kIdent &&
+            tokens[u + 1].kind == Token::Kind::kNumber && tokens[u + 2].is(";")) {
+          char* rest = nullptr;
+          const long value = std::strtol(tokens[u + 1].text.c_str(), &rest, 0);
+          if (rest != nullptr && *rest == '\0') {
+            decls.constants[tokens[u - 1].text] = value;
+          }
+          break;
+        }
+      }
+    }
+  }
+
+  for (const TranslationUnit& unit : units) {
+    const std::vector<Token>& tokens = unit.tokens;
+    for (std::size_t t = 0; t + 2 < tokens.size(); ++t) {
+      if (tokens[t].is_ident("using") && tokens[t + 1].kind == Token::Kind::kIdent &&
+          tokens[t + 2].is("=")) {
+        for (std::size_t u = t + 3; u + 1 < tokens.size(); ++u) {
+          if (tokens[u].is(";")) break;
+          if (tokens[u].is_ident("CheckedMutex") && tokens[u + 1].is("<")) {
+            const std::size_t after = skip_angles(tokens, u + 1);
+            decls.alias_rank[tokens[t + 1].text] =
+                resolve_rank(decls, tokens, u + 2, after - 1);
+            break;
+          }
+        }
+      }
+    }
+  }
+
+  for (std::size_t u = 0; u < units.size(); ++u) {
+    const std::vector<Token>& tokens = units[u].tokens;
+    const std::string& stem = stems[u];
+    for (std::size_t t = 0; t + 1 < tokens.size(); ++t) {
+      const Token& tok = tokens[t];
+      if (tok.kind != Token::Kind::kIdent) continue;
+      if (tok.text == "CheckedMutex" && tokens[t + 1].is("<")) {
+        const std::size_t after = skip_angles(tokens, t + 1);
+        if (after >= tokens.size()) continue;
+        const int rank = resolve_rank(decls, tokens, t + 2, after - 1);
+        if (tokens[after].kind == Token::Kind::kIdent &&
+            !is_control_keyword(tokens[after].text)) {
+          record_mutex(decls, stem, tokens[after].text, rank);
+        }
+      } else if (decls.alias_rank.count(tok.text) != 0 &&
+                 tokens[t + 1].kind == Token::Kind::kIdent &&
+                 !is_control_keyword(tokens[t + 1].text)) {
+        record_mutex(decls, stem, tokens[t + 1].text, decls.alias_rank[tok.text]);
+      } else if (tok.text == "CORELOCATE_GUARDED_BY" && tokens[t + 1].is("(")) {
+        const std::size_t close = match_group(tokens, t + 1);
+        const std::string guard = last_ident(tokens, t + 2, close);
+        if (!guard.empty() && t > 0 && tokens[t - 1].kind == Token::Kind::kIdent) {
+          const std::string& field = tokens[t - 1].text;
+          decls.guard_by_stem[{stem, field}] = guard;
+          decls.guard_global[field].insert(guard);
+        }
+      } else if (tok.text == "class" || tok.text == "struct") {
+        std::size_t v = t + 1;
+        if (v < tokens.size() && tokens[v].kind == Token::Kind::kIdent &&
+            tokens[v].text.rfind("CORELOCATE_", 0) == 0) {
+          ++v;
+          if (v < tokens.size() && tokens[v].is("(")) {
+            v = match_group(tokens, v) + 1;
+          }
+        }
+        if (v < tokens.size() && tokens[v].kind == Token::Kind::kIdent) {
+          decls.type_names.insert(tokens[v].text);
+        }
+      }
+    }
+  }
+}
+
+const std::vector<FnRef>& no_refs() {
+  static const std::vector<FnRef> kNone;
+  return kNone;
+}
+
+}  // namespace
+
+const std::vector<FnRef>& Corpus::callees(const CallSite& call) const {
+  const auto it = index.find({call.name, call.arity});
+  return it == index.end() ? no_refs() : it->second;
+}
+
+const std::vector<FnRef>& Corpus::named(const std::string& name) const {
+  const auto it = name_index.find(name);
+  return it == name_index.end() ? no_refs() : it->second;
+}
+
+Corpus build_corpus(std::vector<TranslationUnit> units) {
+  Corpus corpus;
+  corpus.units = std::move(units);
+  for (const TranslationUnit& unit : corpus.units) {
+    corpus.stems.push_back(path_stem(unit.file.effective_path));
+  }
+  scan_declarations(corpus.decls, corpus.units, corpus.stems);
+  for (std::size_t u = 0; u < corpus.units.size(); ++u) {
+    const TranslationUnit& unit = corpus.units[u];
+    std::vector<std::vector<CallSite>>& calls = corpus.calls.emplace_back();
+    calls.reserve(unit.functions.size());
+    for (std::size_t f = 0; f < unit.functions.size(); ++f) {
+      const FunctionDef& fn = unit.functions[f];
+      calls.push_back(find_calls(unit.tokens, fn.body_begin + 1, fn.body_end));
+      corpus.index[{fn.name, fn.arity}].push_back({u, f});
+      corpus.name_index[fn.name].push_back({u, f});
+    }
+  }
+  return corpus;
+}
+
+void Reporter::emit(const SourceFile& file, std::size_t line, const std::string& rule,
+                    const std::string& message) {
+  if (line >= file.lines.size()) return;
+  if (!reported_.insert({&file, line, rule}).second) return;
+  if (file.suppressed(rule, line)) return;
+  findings_.push_back(Finding{file.path, line + 1, rule, message});
 }
 
 }  // namespace corelint

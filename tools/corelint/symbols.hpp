@@ -3,17 +3,23 @@
 //
 // Extracts function *definitions* (name, arity, parameters, body span)
 // from the token stream of one translation unit, and call sites with
-// argument token ranges from function bodies. The taint pass builds its
-// cross-TU call graph on top: callees resolve by (name, arity), i.e.
-// overloads are distinguished by argument count — a deliberate
-// approximation that needs no type system and is exact for the idioms
-// this repo uses.
+// argument token ranges from function bodies. On top of the units sits
+// the Corpus that the three cross-TU passes (taint, conc, hotpath) share,
+// built once per run: the call graph, whose callees resolve by
+// (name, arity) — overloads are distinguished by argument count, a
+// deliberate approximation that needs no type system and is exact for
+// the idioms this repo uses — and the corpus-wide lock declarations.
 
 #include <cstddef>
+#include <map>
+#include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "lexer.hpp"
+#include "rules.hpp"
 #include "scanner.hpp"
 
 namespace corelint {
@@ -70,10 +76,6 @@ TranslationUnit make_unit(SourceFile file);
 std::vector<CallSite> find_calls(const std::vector<Token>& tokens, std::size_t begin,
                                  std::size_t end);
 
-/// Index (into `functions`) of the innermost function whose body span
-/// contains `line`, or -1.
-int innermost_function(const std::vector<FunctionDef>& functions, std::size_t line);
-
 /// Token index of the matching closer for the opener at `open`
 /// (tokens[open] must be "(" or "{" or "["), or tokens.size() when
 /// unbalanced.
@@ -97,5 +99,90 @@ struct IncludeGraph {
 };
 
 IncludeGraph build_include_graph(const std::vector<TranslationUnit>& units);
+
+/// Index one past the '>' matching the '<' at `open`; tokens.size() when
+/// the statement ends before it balances (then it was not a template-id).
+std::size_t skip_angles(const std::vector<Token>& tokens, std::size_t open);
+
+/// Last non-keyword identifier in the token range [begin, end), or "".
+std::string last_ident(const std::vector<Token>& tokens, std::size_t begin,
+                       std::size_t end);
+
+/// Corpus-wide lock/guard declaration tables: constexpr rank constants,
+/// CheckedMutex aliases and variables (resolved per file-pair stem),
+/// CORELOCATE_GUARDED_BY fields and class/struct names.
+struct LockDecls {
+  std::map<std::string, long> constants;  ///< constexpr int NAME = N
+  std::map<std::string, int> alias_rank;  ///< using X = CheckedMutex<R>
+  std::map<std::pair<std::string, std::string>, int> mutex_by_stem;
+  std::map<std::string, std::set<int>> mutex_global;
+  std::map<std::pair<std::string, std::string>, std::string> guard_by_stem;
+  std::map<std::string, std::set<std::string>> guard_global;
+  std::set<std::string> type_names;  ///< class/struct names (ctor/dtor exemption)
+};
+
+/// Rank of the mutex `name` seen from file pair `stem`: same-stem
+/// declaration first, then a globally unique declaration, else -1.
+int lock_rank_of(const LockDecls& decls, const std::string& stem,
+                 const std::string& name);
+
+using FnRef = std::pair<std::size_t, std::size_t>;  ///< (unit index, fn index)
+
+/// Everything the cross-TU passes share, built once per lint run.
+struct Corpus {
+  std::vector<TranslationUnit> units;
+  /// File-pair key per unit: "src/fleet/thread_pool.hpp" and ".cpp" share
+  /// the stem "thread_pool", so a mutex declared in the header resolves
+  /// at lock sites in its own implementation file first.
+  std::vector<std::string> stems;
+  /// Call sites of each function body, per unit and function.
+  std::vector<std::vector<std::vector<CallSite>>> calls;
+  std::map<std::pair<std::string, int>, std::vector<FnRef>> index;
+  std::map<std::string, std::vector<FnRef>> name_index;  ///< any arity
+  LockDecls decls;
+
+  /// Definitions a call may reach, resolved by (name, arity).
+  const std::vector<FnRef>& callees(const CallSite& call) const;
+  /// Definitions named `name`, at any arity.
+  const std::vector<FnRef>& named(const std::string& name) const;
+};
+
+Corpus build_corpus(std::vector<TranslationUnit> units);
+
+/// Kleene iteration over one summary per function: each round recomputes
+/// every summary with `step(unit, fn)`, which reads the current table,
+/// until a round changes nothing. Summaries only grow, so the fixed point
+/// exists; the round cap is a safety net for pathological call graphs.
+template <typename Summary, typename Step>
+void iterate_to_fixpoint(const Corpus& corpus,
+                         std::vector<std::vector<Summary>>& summaries, Step step) {
+  for (int round = 0; round < 24; ++round) {
+    bool changed = false;
+    for (std::size_t u = 0; u < corpus.units.size(); ++u) {
+      for (std::size_t f = 0; f < corpus.units[u].functions.size(); ++f) {
+        Summary next = step(u, f);
+        if (!(next == summaries[u][f])) {
+          summaries[u][f] = std::move(next);
+          changed = true;
+        }
+      }
+    }
+    if (!changed) break;
+  }
+}
+
+/// Collects the cross-TU passes' findings: at most one per
+/// (file, line, rule), since a pass can reach a line along several paths,
+/// and none on a suppressed line.
+class Reporter {
+ public:
+  void emit(const SourceFile& file, std::size_t line, const std::string& rule,
+            const std::string& message);
+  std::vector<Finding>& findings() { return findings_; }
+
+ private:
+  std::vector<Finding> findings_;
+  std::set<std::tuple<const SourceFile*, std::size_t, std::string>> reported_;
+};
 
 }  // namespace corelint

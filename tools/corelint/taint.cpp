@@ -73,7 +73,6 @@ bool sink_call_name(const std::string& word) {
 // ------------------------------------------------------- per-unit precompute
 
 struct UnitInfo {
-  const TranslationUnit* unit = nullptr;
   bool source_exempt = false;  ///< src/fleet/progress.* — wall-clock is its job
   /// Token index range [begin, end) of each source line.
   std::vector<std::pair<std::size_t, std::size_t>> line_tokens;
@@ -87,8 +86,6 @@ struct UnitInfo {
   /// Sink-typed variables are terminal: taint is reported where it
   /// reaches them, never propagated onward through them.
   std::set<std::string> sink_vars;
-  /// Call sites of each function body.
-  std::vector<std::vector<CallSite>> fn_calls;
 };
 
 /// Variables declared with a sink type: the next identifier after the
@@ -117,7 +114,6 @@ std::set<std::string> find_sink_vars(const std::vector<Token>& tokens) {
 
 UnitInfo make_info(const TranslationUnit& unit) {
   UnitInfo info;
-  info.unit = &unit;
   const SourceFile& file = unit.file;
   // Files whose whole job is wall-clock: their internals are not treated
   // as ambient sources (the obs layer / progress meter *define* the
@@ -199,23 +195,12 @@ UnitInfo make_info(const TranslationUnit& unit) {
       info.line_sink[tok.line] = true;
     }
   }
-
-  // Call sites per function body.
-  info.fn_calls.reserve(unit.functions.size());
-  for (const FunctionDef& fn : unit.functions) {
-    info.fn_calls.push_back(find_calls(unit.tokens, fn.body_begin + 1, fn.body_end));
-  }
   return info;
 }
 
-// --------------------------------------------------------------- call graph
-
-using FnKey = std::pair<std::string, int>;
-using FnRef = std::pair<std::size_t, std::size_t>;  ///< (unit index, fn index)
-
-struct Corpus {
+struct TaintState {
+  const Corpus& corpus;
   std::vector<UnitInfo> infos;
-  std::map<FnKey, std::vector<FnRef>> index;  ///< overloads resolve by arity
   std::vector<std::vector<Summary>> summaries;
 };
 
@@ -298,33 +283,23 @@ std::string range_for_var(const std::vector<Token>& tokens, std::size_t begin,
   return std::string();
 }
 
-struct AnalyzeContext {
-  std::vector<Finding>* report = nullptr;  ///< non-null only on the final pass
-  std::set<std::pair<const SourceFile*, std::size_t>>* reported = nullptr;
-};
-
-void emit(const AnalyzeContext& ctx, const SourceFile& file, std::size_t line,
-          const std::string& message) {
-  if (ctx.report == nullptr) return;
-  if (!ctx.reported->insert({&file, line}).second) return;
-  if (file.suppressed("det-taint-flow", line)) return;
-  ctx.report->push_back(
-      Finding{file.path, line + 1, "det-taint-flow", message, file.lines[line].code});
-}
-
 /// One analysis of a function body given the current callee summaries.
 /// Local flow is line-granular: a line's taint is the union of its
 /// ambient sources, the taint of every identifier it mentions, and the
 /// translated return taint of every call it makes; assignments store the
 /// line taint into the lvalue's base identifier. The body is re-walked
 /// until the variable map stops changing (loops carry taint backward).
-Summary analyze(const Corpus& corpus, std::size_t unit_index, std::size_t fn_index,
-                const AnalyzeContext& ctx) {
-  const UnitInfo& info = corpus.infos[unit_index];
-  const TranslationUnit& unit = *info.unit;
+/// `report` is null except on the final, reporting pass.
+Summary analyze(const TaintState& state, std::size_t unit_index, std::size_t fn_index,
+                Reporter* report) {
+  const UnitInfo& info = state.infos[unit_index];
+  const TranslationUnit& unit = state.corpus.units[unit_index];
   const SourceFile& file = unit.file;
   const FunctionDef& fn = unit.functions[fn_index];
   const std::vector<Token>& tokens = unit.tokens;
+  const auto emit = [&](std::size_t line, const std::string& message) {
+    if (report != nullptr) report->emit(file, line, "det-taint-flow", message);
+  };
 
   Summary summary;
   summary.param_out.assign(fn.params.size(), 0);
@@ -378,10 +353,10 @@ Summary analyze(const Corpus& corpus, std::size_t unit_index, std::size_t fn_ind
       }
 
       // Calls whose name token sits on this line.
-      for (const CallSite& call : info.fn_calls[fn_index]) {
+      for (const CallSite& call : state.corpus.calls[unit_index][fn_index]) {
         if (call.line != line) continue;
-        const auto callees = corpus.index.find({call.name, call.arity});
-        if (callees == corpus.index.end()) continue;
+        const std::vector<FnRef>& callees = state.corpus.callees(call);
+        if (callees.empty()) continue;
         std::vector<std::uint64_t> arg_masks(call.args.size(), 0);
         for (std::size_t j = 0; j < call.args.size(); ++j) {
           for (std::size_t t = call.args[j].first; t < call.args[j].second; ++t) {
@@ -393,8 +368,8 @@ Summary analyze(const Corpus& corpus, std::size_t unit_index, std::size_t fn_ind
           // argument of the line's calls — over-approximate but safe.
           if (sourced) arg_masks[j] |= kSourceBit;
         }
-        for (const FnRef& ref : callees->second) {
-          const Summary& callee = corpus.summaries[ref.first][ref.second];
+        for (const FnRef& ref : callees) {
+          const Summary& callee = state.summaries[ref.first][ref.second];
           mask |= translate(callee.returns_from, arg_masks);
           const std::size_t argc =
               std::min(arg_masks.size(), callee.param_out.size());
@@ -407,7 +382,7 @@ Summary analyze(const Corpus& corpus, std::size_t unit_index, std::size_t fn_ind
           }
           const std::uint64_t sunk = translate(callee.sink_from, arg_masks);
           if (sunk & kSourceBit) {
-            emit(ctx, file, line,
+            emit(line,
                  "nondeterministic value flows into a result sink inside '" +
                      call.name +
                      "' — results must be a pure function of the seed (tag the "
@@ -434,7 +409,7 @@ Summary analyze(const Corpus& corpus, std::size_t unit_index, std::size_t fn_ind
 
       if (info.line_sink[line]) {
         if (mask & kSourceBit) {
-          emit(ctx, file, line,
+          emit(line,
                "nondeterministic value reaches a result sink (source: " +
                    std::string(sourced ? info.line_source[line]
                                        : "upstream call or variable") +
@@ -456,51 +431,30 @@ Summary analyze(const Corpus& corpus, std::size_t unit_index, std::size_t fn_ind
 
 }  // namespace
 
-std::vector<Finding> run_taint(const std::vector<TranslationUnit>& units) {
-  Corpus corpus;
-  corpus.infos.reserve(units.size());
-  for (const TranslationUnit& unit : units) corpus.infos.push_back(make_info(unit));
+void run_taint(const Corpus& corpus, Reporter& report) {
+  const std::vector<TranslationUnit>& units = corpus.units;
+  TaintState state{corpus, {}, {}};
+  state.infos.reserve(units.size());
+  for (const TranslationUnit& unit : units) state.infos.push_back(make_info(unit));
 
-  corpus.summaries.resize(units.size());
+  // Summaries only grow, and masks are 64-bit.
+  state.summaries.resize(units.size());
   for (std::size_t u = 0; u < units.size(); ++u) {
-    corpus.summaries[u].assign(units[u].functions.size(), Summary{});
+    state.summaries[u].assign(units[u].functions.size(), Summary{});
     for (std::size_t f = 0; f < units[u].functions.size(); ++f) {
-      corpus.summaries[u][f].param_out.assign(units[u].functions[f].params.size(), 0);
-      corpus.index[{units[u].functions[f].name, units[u].functions[f].arity}]
-          .push_back({u, f});
+      state.summaries[u][f].param_out.assign(units[u].functions[f].params.size(), 0);
     }
   }
-
-  // Kleene iteration from bottom: summaries only grow, masks are 64-bit,
-  // so the fixed point exists; the cap is a safety net for pathological
-  // call graphs.
-  const AnalyzeContext quiet;
-  for (int iter = 0; iter < 24; ++iter) {
-    bool changed = false;
-    for (std::size_t u = 0; u < units.size(); ++u) {
-      for (std::size_t f = 0; f < units[u].functions.size(); ++f) {
-        Summary next = analyze(corpus, u, f, quiet);
-        if (!(next == corpus.summaries[u][f])) {
-          corpus.summaries[u][f] = std::move(next);
-          changed = true;
-        }
-      }
-    }
-    if (!changed) break;
-  }
+  iterate_to_fixpoint(corpus, state.summaries, [&](std::size_t u, std::size_t f) {
+    return analyze(state, u, f, nullptr);
+  });
 
   // Reporting pass over the stable summaries.
-  std::vector<Finding> findings;
-  std::set<std::pair<const SourceFile*, std::size_t>> reported;
-  AnalyzeContext ctx;
-  ctx.report = &findings;
-  ctx.reported = &reported;
   for (std::size_t u = 0; u < units.size(); ++u) {
     for (std::size_t f = 0; f < units[u].functions.size(); ++f) {
-      analyze(corpus, u, f, ctx);
+      analyze(state, u, f, &report);
     }
   }
-  return findings;
 }
 
 }  // namespace corelint

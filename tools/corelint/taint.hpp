@@ -22,16 +22,13 @@
 // under src/fleet/progress.* are exempt entirely (their job is
 // wall-clock).
 
-#include <vector>
-
-#include "rules.hpp"
 #include "symbols.hpp"
 
 namespace corelint {
 
-/// Runs the taint pass over a whole corpus of translation units.
-/// Findings carry rule "det-taint-flow" and respect per-line/per-file
-/// suppression comments like every other rule.
-std::vector<Finding> run_taint(const std::vector<TranslationUnit>& units);
+/// Runs the taint pass over the whole corpus. Findings carry rule
+/// "det-taint-flow" and respect per-line/per-file suppression comments
+/// like every other rule.
+void run_taint(const Corpus& corpus, Reporter& report);
 
 }  // namespace corelint
